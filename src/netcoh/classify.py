@@ -109,11 +109,22 @@ def is_cc(
     eigenbasis of the conditionals on its unmeasured side).
     """
     _require_bipartite(rho)
-    val_ab, basis_ab = minimize_discord(rho, A_TO_B, seed=seed, restarts=restarts)
-    if val_ab > threshold:
+    result_ab = minimize_discord(rho, A_TO_B, seed=seed, restarts=restarts)
+    if result_ab[0] > threshold:
         return False, None
-    val_ba, basis_ba = minimize_discord(rho, B_TO_A, seed=seed, restarts=restarts)
-    if val_ba > threshold:
+    result_ba = minimize_discord(rho, B_TO_A, seed=seed, restarts=restarts)
+    return _cc_witness(rho, result_ab, result_ba, threshold)
+
+
+def _cc_witness(
+    rho: DensityMatrix,
+    result_ab: tuple[float, ProductBasis],
+    result_ba: tuple[float, ProductBasis],
+    threshold: float,
+) -> tuple[bool, ProductBasis | None]:
+    """``is_cc``'s verdict from the two directional (value, basis) minima."""
+    (val_ab, basis_ab), (val_ba, basis_ba) = result_ab, result_ba
+    if val_ab > threshold or val_ba > threshold:
         return False, None
     _, eig_a = hermitian_eig(partial_trace(rho, (0,)).matrix)
     _, eig_b = hermitian_eig(partial_trace(rho, (1,)).matrix)
@@ -174,9 +185,10 @@ def classify(
     ``basis`` exceeds 1e-6 bits.
     """
     _require_bipartite(rho)
-    discord_ab, _ = minimize_discord(rho, A_TO_B, seed=seed, restarts=restarts)
-    discord_ba, _ = minimize_discord(rho, B_TO_A, seed=seed, restarts=restarts)
-    cc, witness = is_cc(rho, seed=seed, restarts=restarts, threshold=threshold)
+    result_ab = minimize_discord(rho, A_TO_B, seed=seed, restarts=restarts)
+    result_ba = minimize_discord(rho, B_TO_A, seed=seed, restarts=restarts)
+    discord_ab, discord_ba = result_ab[0], result_ba[0]
+    cc, witness = _cc_witness(rho, result_ab, result_ba, threshold)
     ppt, _min_eig = ppt_separability(rho)
     rec_net = net_global_coherence(rho, basis, BIPARTITE_CUT).rec_net
     return CorrelationVerdict(

@@ -57,7 +57,7 @@ class KrausChannel:
             mats.append(m)
         total = sum(m.conj().T @ m for m in mats)
         err = float(np.max(np.abs(total - np.eye(dim))))
-        if err > ATOL_SPECTRAL:
+        if not err <= ATOL_SPECTRAL:  # fails on NaN too
             raise ValueError(f"Kraus completeness violated: ||sum F'F - I||_max = {err:.3e}")
         object.__setattr__(self, "kraus", tuple(mats))
 
@@ -217,7 +217,7 @@ class StochasticMatrix:
         if np.min(m) < -1e-12:
             raise ValueError("stochastic matrix entries must be non-negative")
         col_err = float(np.max(np.abs(m.sum(axis=0) - 1.0)))
-        if col_err > 1e-12:
+        if not col_err <= 1e-12:
             raise ValueError(f"columns must sum to 1 (max deviation {col_err:.3e})")
         m = np.clip(m, 0.0, None)
         m.setflags(write=False)
@@ -238,7 +238,7 @@ class ClassicalState:
         p = np.asarray(self.probabilities, dtype=float).reshape(-1)
         if np.min(p) < -1e-12:
             raise ValueError("probabilities must be non-negative")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if not abs(p.sum() - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
         p = np.clip(p, 0.0, None)
         p.setflags(write=False)

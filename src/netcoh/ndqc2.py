@@ -7,15 +7,18 @@ perform destructive measurements.  Charlie may prepare at most two pure
 qubits per preparation branch; everything else he sends is maximally mixed.
 
 The simulator is exact on the state side (density matrices evolve in closed
-form, cross-checked against a dense full-system path when small enough) and
-Monte Carlo on the measurement side, with Born-rule sampling from Philox
-substreams so runs are bit-reproducible for a given seed.
+form) and Monte Carlo on the measurement side, with Born-rule sampling from
+Philox substreams so runs are bit-reproducible for a given seed.  The dense
+full-system path cross-checks the closed form in ``control_output_state``'s
+default mode (joint dimension up to 256) and in the tests; protocol runs
+sample from the closed form without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -218,8 +221,14 @@ def control_coherence_figures(task: int, signs: tuple[int, int] = (1, 1)) -> tup
     The ancilla factors are maximally mixed and diagonal in any basis, so by
     additivity these equal the full-input figures in the eigenbasis
     construction; the full-state equality is exercised by the invariance
-    suite.
+    suite.  The figures depend only on (task, signs) and are computed once
+    per pair.
     """
+    return _control_coherence_figures(int(task), tuple(int(s) for s in signs))
+
+
+@lru_cache(maxsize=8)
+def _control_coherence_figures(task: int, signs: tuple[int, ...]) -> tuple[float, float]:
     ctrl = task_control_input(task, signs)
     report = net_global_coherence(ctrl, CONTROL_BASIS, BIPARTITE_CUT)
     return report.rec_global, report.rec_net

@@ -166,6 +166,40 @@ class TestClassify:
         assert verdict.quantum_correlated and not verdict.is_ppt and not verdict.is_cc
         assert verdict.discord_a_to_b > 0.9
 
+    @pytest.mark.parametrize("name", ["cc", "product", "werner"])
+    def test_minimizes_each_direction_once(self, name, monkeypatch):
+        import netcoh.classify as classify_mod
+
+        rotation = haar_unitary(2, substream(35, 0))
+        rho = {
+            "cc": cc_state(np.array([[0.5, 0.1], [0.15, 0.25]]), rotation, np.eye(2)),
+            "product": DensityMatrix(
+                tensor(np.diag([0.7, 0.3]), random_density_matrix((2,), substream(35, 1)).matrix),
+                (2, 2),
+            ),
+            "werner": werner(0.6),
+        }[name]
+        directions = []
+        original = classify_mod.minimize_discord
+        monkeypatch.setattr(
+            classify_mod,
+            "minimize_discord",
+            lambda r, direction, **kw: directions.append(direction) or original(r, direction, **kw),
+        )
+        verdict = classify(rho, Z2, seed=35, restarts=8)
+        assert sorted(directions) == [A_TO_B, B_TO_A]
+        monkeypatch.undo()
+        # Reference: both directional minimizations plus the public is_cc.
+        discord_ab, _ = minimize_discord(rho, A_TO_B, seed=35, restarts=8)
+        discord_ba, _ = minimize_discord(rho, B_TO_A, seed=35, restarts=8)
+        cc, witness = is_cc(rho, seed=35, restarts=8)
+        assert (verdict.discord_a_to_b, verdict.discord_b_to_a) == (discord_ab, discord_ba)
+        assert verdict.is_cc == cc == (name != "werner")
+        def local_bases(basis):
+            return None if basis is None else [m.tolist() for m in basis.local_bases]
+
+        assert local_bases(verdict.witness_basis) == local_bases(witness)
+
     def test_json_shape(self):
         payload = classify(maximally_mixed((2, 2)), Z2, seed=34).to_json()
         assert payload["is_product"] is True

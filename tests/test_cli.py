@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import bell_state, two_control_mixture
+from helpers import bell_state, cc_state, two_control_mixture
 from netcoh.cli import main
 from netcoh.linalg import matrix_to_json
 from netcoh.reporting import canonical_dumps
@@ -59,6 +59,11 @@ class TestCoherenceCommand:
     def test_invalid_state_exits_3(self, tmp_path):
         path = write_state(tmp_path / "bad_state.json", np.eye(4, dtype=complex), (2, 2))
         assert main(["coherence", str(path)]) == 3
+
+    def test_nan_state_exits_3(self, tmp_path):
+        rho = np.diag([np.nan, 0.25, 0.25, 0.25]).astype(complex)
+        path = write_state(tmp_path / "nan_state.json", rho, (2, 2))
+        assert main(["coherence", path]) == 3
 
     def test_cut_and_basis_flags(self, tmp_path, capsys):
         path = write_state(tmp_path / "bell.json", bell_state(), (2, 2))
@@ -196,6 +201,96 @@ class TestVerifyCommand:
         monkeypatch.setenv("NETCOH_WORKERS", "2")
         assert main(["verify", "thm4", "--ensemble-size", "0.04", "--out", str(out2)]) == 0
         assert (out1 / "thm4.json").read_bytes() == (out2 / "thm4.json").read_bytes()
+
+
+def _golden_mixed_state(d: int) -> np.ndarray:
+    """Full-rank mixed state G G^dag / Tr, G_jk = cos(j + 2k) + i sin(3j - k)."""
+    j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    g = np.cos(j + 2 * k) + 1j * np.sin(3 * j - k)
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def _golden_cc_state() -> np.ndarray:
+    """Classical-classical state in a real rotated basis (A) and a complex one (B)."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    basis_a = np.array([[c, -s], [s, c]], dtype=complex)
+    basis_b = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
+    probs = np.array([[0.4, 0.1], [0.2, 0.3]])
+    return cc_state(probs, basis_a, basis_b).matrix
+
+
+GOLDEN_RUN = {
+    "task": 1,
+    "shots": 4000,
+    "seed": 42,
+    "signs": [1, -1],
+    "unitary_a": {
+        "qubits": 2,
+        "gates": [
+            {"name": "H", "targets": [0]},
+            {"name": "CNOT", "targets": [0, 1]},
+            {"name": "T", "targets": [1]},
+        ],
+    },
+    "unitary_b": {"qubits": 1, "gates": [{"name": "S", "targets": [0]}]},
+}
+
+GOLDEN_COHERENCE_2X2 = (
+    '{"mutual_info":0.592138777669,"mutual_info_dephased":0.00837788058476,'
+    '"rec_global":0.605684126575,"rec_local":[0.0112053593998,0.0107178700914],'
+    '"rec_net":0.583760897084}'
+)
+
+GOLDEN_COHERENCE_5Q = (
+    '{"mutual_info":1.35501236182,"mutual_info_dephased":9.72507649504e-05,'
+    '"rec_global":3.017342808,"rec_local":[0.613088514048,1.0493391829],'
+    '"rec_net":1.35491511105}'
+)
+
+GOLDEN_CLASSIFY_CC = (
+    '{"discord_a_to_b":0.0,"discord_b_to_a":0.0,"is_cc":true,"is_ppt":true,'
+    '"is_product":false,"is_qc_a_to_b":true,"is_qc_b_to_a":true,'
+    '"quantum_correlated":true,"rec_net_in_basis":0.124511249784,'
+    '"witness_basis":[{"dim":2,"entries":[[0.29552020364750736,0.0],'
+    '[0.9553364900578936,0.0],[-0.9553364900578936,0.0],[0.29552020364750736,0.0]]},'
+    '{"dim":2,"entries":[[-0.7071067811865475,0.0],[-0.7071067811865475,0.0],[0.0,'
+    '0.7071067811865475],[0.0,-0.7071067811865475]]}]}'
+)
+
+GOLDEN_NDQC2 = (
+    '{"bp_predicted":0.5,"iota_est":{"im":0.191288,"re":0.058736},'
+    '"iota_exact":{"im":0.213388347648,"re":0.0883883476483},"rec_control":2.0,'
+    '"rec_net":0.0,"se_empirical":0.037171119706,"se_predicted":0.0205952234334,'
+    '"seed":42,"shots":4000,"task":1}'
+)
+
+
+class TestGoldenBytes:
+    """Exact stdout bytes for fixed inputs: any change to a report's digits,
+    key order or witness basis shows here.  The witness basis holds LAPACK
+    eigenvectors, so its bytes are pinned for this numpy/LAPACK build."""
+
+    def test_two_qubit_coherence(self, tmp_path, capsys):
+        path = write_state(tmp_path / "two.json", _golden_mixed_state(4), (2, 2))
+        assert main(["coherence", path]) == 0
+        assert capsys.readouterr().out == GOLDEN_COHERENCE_2X2 + "\n"
+
+    def test_five_qubit_coherence(self, tmp_path, capsys):
+        path = write_state(tmp_path / "five.json", _golden_mixed_state(32), (2,) * 5)
+        assert main(["coherence", path, "--cut", "0,3|1,2,4"]) == 0
+        assert capsys.readouterr().out == GOLDEN_COHERENCE_5Q + "\n"
+
+    def test_cc_classify_verdict(self, tmp_path, capsys):
+        path = write_state(tmp_path / "cc.json", _golden_cc_state(), (2, 2))
+        assert main(["classify", path, "--seed", "7"]) == 0
+        assert capsys.readouterr().out == GOLDEN_CLASSIFY_CC + "\n"
+
+    def test_ndqc2_report(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(GOLDEN_RUN))
+        assert main(["ndqc2", str(path)]) == 0
+        assert capsys.readouterr().out == GOLDEN_NDQC2 + "\n"
 
 
 class TestDeterminism:

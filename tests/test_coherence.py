@@ -237,6 +237,26 @@ class TestNetGlobalCoherence:
         report = net_global_coherence(rho, basis, ((0, 1), (2,)))
         assert report.rec_net >= -1e-9
 
+    def test_each_spectrum_decomposed_once(self, monkeypatch):
+        import netcoh.linalg as linalg
+
+        dims_seen = []
+        original = linalg.hermitian_eig
+        monkeypatch.setattr(
+            linalg, "hermitian_eig", lambda m: dims_seen.append(m.shape[0]) or original(m)
+        )
+        gen = substream(14, 2000)
+        rho = random_density_matrix((2,) * 5, gen)
+        basis = random_product_basis((2,) * 5, gen)
+        cut = ((0, 1), (2, 3, 4))
+        report = net_global_coherence(rho, basis, cut)
+        # S(rho) and S(dephased rho) at d = 32; each marginal and each
+        # dephased marginal once at d = 4 and d = 8.
+        assert sorted(dims_seen) == [4, 4, 8, 8, 32, 32]
+        monkeypatch.undo()
+        assert report.mutual_info == mutual_information(rho, cut)
+        assert report.mutual_info_dephased == mutual_information(dephase(rho, basis), cut)
+
     def test_report_invariants_enforced(self):
         with pytest.raises(ValueError):
             CoherenceReport(
@@ -245,6 +265,16 @@ class TestNetGlobalCoherence:
                 rec_net=0.5,
                 mutual_info=1.0,
                 mutual_info_dephased=0.5,
+            )
+
+    def test_report_rejects_nan(self):
+        with pytest.raises(ValueError):
+            CoherenceReport(
+                rec_global=1.0,
+                rec_local=(0.0, 0.0),
+                rec_net=float("nan"),
+                mutual_info=1.0,
+                mutual_info_dephased=0.0,
             )
 
 

@@ -56,6 +56,13 @@ class TestKrausChannel:
         with pytest.raises(ValueError):
             KrausChannel(())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        f = np.eye(2, dtype=complex)
+        f[0, 0] = bad
+        with pytest.raises(ValueError):
+            KrausChannel((f,))
+
     def test_json_round_trip(self):
         again = channel_from_json(channel_to_json(PLUS_CHANNEL))
         for a, b in zip(again.kraus, PLUS_CHANNEL.kraus):
@@ -260,6 +267,13 @@ class TestClassicalEmbedding:
             StochasticMatrix(np.array([[1.1, 0.0], [-0.1, 1.0]]))
         with pytest.raises(ValueError):
             ClassicalState(np.array([0.5, 0.6]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_validation_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError):
+            StochasticMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            ClassicalState(np.array([bad, 0.5]))
 
 
 class TestSandwichDephase:

@@ -77,6 +77,29 @@ class TestDensityMatrix:
         m = np.diag([1.0 + 5e-10, -5e-10])
         DensityMatrix(m, (2,))  # within the -1e-9 floor
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # NaN compares false against every tolerance, so it must be caught
+        # before the invariant checks.
+        with pytest.raises(InvalidStateError):
+            DensityMatrix(np.diag([bad, 0.25, 0.25, 0.25]), (2, 2))
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(InvalidStateError):
+            DensityMatrix(m, (2, 2))
+
+    def test_spectrum_is_decomposed_once(self, monkeypatch):
+        import netcoh.linalg as linalg
+
+        calls = []
+        original = linalg.hermitian_eig
+        monkeypatch.setattr(linalg, "hermitian_eig", lambda m: calls.append(1) or original(m))
+        rho = random_density_matrix((2, 4), substream(3, 4))
+        first = rho.spectrum
+        assert rho.spectrum is first and len(calls) == 1
+        assert np.array_equal(first, original(rho.matrix)[0])
+        assert not first.flags.writeable
+
     def test_rejects_dims_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             DensityMatrix(np.eye(4) / 4, (2, 3))
@@ -144,6 +167,25 @@ class TestHermitianEig:
         with pytest.raises(NotHermitianError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("name", ["maximally_mixed", "rank_one", "ghz5"])
+    def test_degenerate_spectra_d32(self, name):
+        d = 32
+        if name == "maximally_mixed":
+            h = np.eye(d, dtype=complex) / d
+        elif name == "rank_one":
+            v = np.exp(1j * np.arange(d)) / np.sqrt(d)
+            h = np.outer(v, v.conj())
+        else:
+            ghz = np.zeros(d, dtype=complex)
+            ghz[[0, d - 1]] = np.sqrt(0.5)
+            h = np.outer(ghz, ghz.conj())
+        w, v = hermitian_eig(h)
+        assert np.max(np.abs((v * w) @ v.conj().T - h)) <= 1e-9
+        assert np.max(np.abs(v.conj().T @ v - np.eye(d))) <= 1e-9
+        assert np.all(np.diff(w) >= 0.0)
+        expected = np.full(d, 1.0 / d) if name == "maximally_mixed" else np.eye(d)[-1]
+        assert np.max(np.abs(w - expected)) <= 1e-9
+
     def test_density_matrix_spectra(self):
         for i in range(20):
             rho = random_density_matrix((2, 2), substream(3, 1, i))
@@ -172,6 +214,19 @@ class TestUnitaryEig:
         lam1, v1 = unitary_eig(u)
         lam2, v2 = unitary_eig(u)
         assert np.array_equal(lam1, lam2) and np.array_equal(v1, v2)
+
+    @pytest.mark.parametrize("name", ["CZ", "ZI"])
+    def test_degenerate_ordering_repeats(self, name):
+        if name == "CZ":
+            u = compile_gate_network(GateNetwork(2, (("CZ", (0, 1)),)))
+        else:
+            u = tensor(SZ, np.eye(2))
+        lam1, v1 = unitary_eig(u)
+        lam2, v2 = unitary_eig(u.copy())
+        assert np.array_equal(lam1, lam2) and np.array_equal(v1, v2)
+        assert np.max(np.abs((v1 * lam1) @ v1.conj().T - u)) <= 1e-9
+        phases = np.mod(np.angle(lam1), 2 * np.pi)
+        assert np.all(np.diff(phases) >= -1e-9)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):

@@ -217,6 +217,29 @@ class TestPrecisionLaws:
         assert abs(predicted_bp(4.0) - 1.0) <= 1e-12
 
 
+class TestControlCoherenceFigures:
+    def test_computed_once_per_task_and_signs(self, monkeypatch):
+        import netcoh.ndqc2 as ndqc2
+
+        calls = []
+        original = ndqc2.net_global_coherence
+        monkeypatch.setattr(
+            ndqc2, "net_global_coherence", lambda *args: calls.append(args) or original(*args)
+        )
+        ndqc2._control_coherence_figures.cache_clear()
+        try:
+            first = ndqc2.control_coherence_figures(1, [1, -1])
+            again = ndqc2.control_coherence_figures(1, (np.int64(1), -1))
+        finally:
+            ndqc2._control_coherence_figures.cache_clear()
+        assert first == again and len(calls) == 1
+        monkeypatch.undo()
+        direct = net_global_coherence(
+            ndqc2.task_control_input(1, (1, -1)), ndqc2.CONTROL_BASIS, ((0,), (1,))
+        )
+        assert first == (direct.rec_global, direct.rec_net)
+
+
 class TestSampleRun:
     def test_traceless_unitaries_estimate_zero(self):
         report = sample_run(2, SZ, SZ, 20000, seed=1)

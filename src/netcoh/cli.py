@@ -3,8 +3,8 @@
 Commands: ``coherence``, ``classify``, ``ndqc2``, ``verify``.  All randomness
 flows from a single ``--seed`` (default 0xC0FFEE); identical command, seed,
 and inputs reproduce byte-identical JSON reports.  The only environment
-variable consulted is NETCOH_WORKERS (worker-process count for verify
-sweeps).
+variable consulted is NETCOH_WORKERS (verify worker processes; default 1,
+at most the CPU count; anything but an integer >= 1 exits 2).
 
 Exit codes: 0 success; 1 verification assertions failed; 2 parse or usage
 failure; 3 input-state invariant violation; 4 protocol capability violation.
@@ -203,8 +203,19 @@ def cmd_ndqc2(args) -> int:
     return EXIT_OK
 
 
+def worker_count(raw: str | None) -> int:
+    """NETCOH_WORKERS as a process count: 1 when unset, at most the CPU count."""
+    try:
+        workers = 1 if raw is None else int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ParseFailure(f"NETCOH_WORKERS must be an integer >= 1, got {raw!r}")
+    return min(workers, os.cpu_count() or 1)
+
+
 def cmd_verify(args) -> int:
-    workers = int(os.environ.get("NETCOH_WORKERS", "1"))
+    workers = worker_count(os.environ.get("NETCOH_WORKERS"))
     try:
         results = run_suite(args.suite, args.seed, args.ensemble_size, workers)
     except KeyError as exc:

@@ -416,11 +416,13 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     try:
         d = int(obj["dim"])
         entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
+        if len(entries) != d * d:
+            raise ValueError(f"matrix of dim {d} needs {d * d} entries, got {len(entries)}")
+        flat = np.array([complex(re, im) for re, im in entries])
+        if {type(x) for pair in entries for x in pair} - {int, float}:
+            raise ValueError("entries must be [re, im] pairs of numbers")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
-    if len(entries) != d * d:
-        raise ValueError(f"matrix of dim {d} needs {d * d} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
     return flat.reshape(d, d)
 
 

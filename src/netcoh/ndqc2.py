@@ -108,6 +108,8 @@ def task_control_input(task: int, signs: tuple[int, int] = (1, 1)) -> DensityMat
     whose marginals are maximally mixed.
     """
     _require_task(task)
+    if len(signs) != 2 or any(s not in (1, -1) for s in signs):
+        raise ValueError(f"signs must be two entries, each +1 or -1, got {tuple(signs)}")
     kets = {1: KET_PLUS, -1: KET_MINUS}
     if task == 1:
         vec = np.kron(kets[signs[0]], kets[signs[1]])

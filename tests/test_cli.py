@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import bell_state, cc_state, two_control_mixture
-from netcoh.cli import main
+from netcoh.cli import main, worker_count
 from netcoh.linalg import matrix_to_json
 from netcoh.reporting import canonical_dumps
 
@@ -64,6 +64,16 @@ class TestCoherenceCommand:
         rho = np.diag([np.nan, 0.25, 0.25, 0.25]).astype(complex)
         path = write_state(tmp_path / "nan_state.json", rho, (2, 2))
         assert main(["coherence", path]) == 3
+
+    @pytest.mark.parametrize(
+        "entry", [["a", 0], [1.0], [1.0, 0.0, 0.0], 5, None, [True, 0], [[1], 0]]
+    )
+    def test_non_numeric_or_non_pair_entry_exits_2(self, tmp_path, capsys, entry):
+        path = tmp_path / "bad_entry.json"
+        path.write_text(json.dumps({"dim": 1, "entries": [entry]}))
+        assert main(["coherence", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed matrix" in err and "Traceback" not in err
 
     def test_cut_and_basis_flags(self, tmp_path, capsys):
         path = write_state(tmp_path / "bell.json", bell_state(), (2, 2))
@@ -149,6 +159,21 @@ class TestNdqc2Command:
         path.write_text(json.dumps({"task": 2}))
         assert main(["ndqc2", str(path)]) == 2
 
+    def test_bad_signs_exit_2(self, tmp_path, capsys):
+        desc = {
+            "task": 1,
+            "shots": 100,
+            "seed": 1,
+            "signs": [2, 1],
+            "unitary_a": matrix_to_json(np.eye(2)),
+            "unitary_b": matrix_to_json(np.eye(2)),
+        }
+        path = tmp_path / "bad_signs.json"
+        path.write_text(json.dumps(desc))
+        assert main(["ndqc2", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "signs" in err and "Traceback" not in err
+
     def test_unitary_file_reference(self, tmp_path, capsys):
         upath = tmp_path / "u.json"
         upath.write_text(json.dumps(matrix_to_json(np.eye(2, dtype=complex))))
@@ -193,6 +218,20 @@ class TestVerifyCommand:
         assert main(["verify", "isomorphism", "--ensemble-size", "0.05", "--out", str(out)]) == 0
         payload = json.loads((out / "isomorphism.json").read_text())
         assert payload["passed"] is True and payload["rows"]
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5", ""])
+    def test_bad_worker_count_exits_2(self, monkeypatch, capsys, value):
+        # Rejected before the suite runs, so no worker pool is ever started.
+        monkeypatch.setenv("NETCOH_WORKERS", value)
+        assert main(["verify", "thm4", "--ensemble-size", "0.04"]) == 2
+        assert "NETCOH_WORKERS" in capsys.readouterr().err
+
+    def test_worker_count_is_clamped_to_cpus(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        assert worker_count(None) == 1
+        assert worker_count("1") == 1
+        assert worker_count("2") == 2
+        assert worker_count("10000") == 2
 
     def test_worker_count_does_not_change_results(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
@@ -252,8 +291,8 @@ GOLDEN_CLASSIFY_CC = (
     '{"discord_a_to_b":0.0,"discord_b_to_a":0.0,"is_cc":true,"is_ppt":true,'
     '"is_product":false,"is_qc_a_to_b":true,"is_qc_b_to_a":true,'
     '"quantum_correlated":true,"rec_net_in_basis":0.124511249784,'
-    '"witness_basis":[{"dim":2,"entries":[[0.29552020364750736,0.0],'
-    '[0.9553364900578936,0.0],[-0.9553364900578936,0.0],[0.29552020364750736,0.0]]},'
+    '"witness_basis":[{"dim":2,"entries":[[0.295520206434912,0.0],'
+    '[0.9553364891956483,0.0],[-0.9553364891956483,0.0],[0.295520206434912,0.0]]},'
     '{"dim":2,"entries":[[-0.7071067811865475,0.0],[-0.7071067811865475,0.0],[0.0,'
     '0.7071067811865475],[0.0,-0.7071067811865475]]}]}'
 )

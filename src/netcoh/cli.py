@@ -72,7 +72,10 @@ def load_state(path: str) -> DensityMatrix:
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
     if "dims" in obj:
-        dims = tuple(int(d) for d in obj["dims"])
+        dims = obj["dims"]
+        if not isinstance(dims, list) or any(type(d) is not int for d in dims):
+            raise ParseFailure(f"dims must be a list of integers, got {dims!r}")
+        dims = tuple(dims)
     else:
         d = mat.shape[0]
         if d & (d - 1) == 0 and d > 1:

@@ -166,9 +166,11 @@ def entropy_of_probabilities(p: np.ndarray) -> float:
 
 
 def _eigvals_2x2(m: np.ndarray) -> np.ndarray:
-    half_tr = (m[0, 0].real + m[1, 1].real) / 2.0
-    radius = math.hypot((m[0, 0].real - m[1, 1].real) / 2.0, abs(m[0, 1]))
-    return np.array([half_tr - radius, half_tr + radius])
+    """Ascending eigenvalues of Hermitian 2x2 matrices on the last two axes."""
+    top, bottom = m[..., 0, 0].real, m[..., 1, 1].real
+    half_tr = (top + bottom) / 2.0
+    radius = np.hypot((top - bottom) / 2.0, np.abs(m[..., 0, 1]))
+    return np.stack([half_tr - radius, half_tr + radius], axis=-1)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -310,11 +312,18 @@ def _conditional_blocks(
     ``basis_mat`` may carry leading batch axes.  Returns (weights, blocks)
     with blocks of shape (..., d_measured, d_other, d_other).
     """
+    d_m, d_o = dims[side], dims[1 - side]
     t = rho_mat.reshape(dims + dims)
     if side == 1:
         t = t.transpose(1, 0, 3, 2)
-    blocks = np.einsum("...ai,abcd,...ci->...ibd", basis_mat.conj(), t, basis_mat)
-    weights = np.real(np.trace(blocks, axis1=-2, axis2=-1))
+    # blocks[..., i, b, d] = sum_ac conj(u[a, i]) u[c, i] t[a, b, c, d]: the
+    # projectors' entries times a (d_m^2, d_o^2) kernel, one gemm for all.
+    kernel = t.transpose(0, 2, 1, 3).reshape(d_m * d_m, d_o * d_o)
+    projectors = np.einsum("...ai,...ci->...iac", basis_mat.conj(), basis_mat)
+    blocks = (projectors.reshape(-1, d_m * d_m) @ kernel).reshape(
+        projectors.shape[:-2] + (d_o, d_o)
+    )
+    weights = np.einsum("...bb->...", blocks).real
     return weights, blocks
 
 
@@ -334,10 +343,13 @@ def _discord_fixed_entropies(
     The mutual information of the dephased state thus collapses to
     entropy_other - sum_i p_i S(cond_i / p_i).  Evaluated for every basis
     on the leading axes of ``basis_mat`` at once; returns an array of the
-    batch shape (0-d for one basis).
+    batch shape (0-d for one basis).  The blocks of all bases and outcomes
+    come from one gemm; qubit-sized (2x2) blocks take their spectra in
+    closed form, larger ones from ``np.linalg.eigvalsh``.
     """
     weights, blocks = _conditional_blocks(rho_mat, dims, side, basis_mat)
-    lam = np.clip(np.linalg.eigvalsh(blocks), 0.0, None)
+    spectra = _eigvals_2x2(blocks) if blocks.shape[-1] == 2 else np.linalg.eigvalsh(blocks)
+    lam = np.clip(spectra, 0.0, None)
     w = weights[..., None]
     keep = (lam > 0.0) & (w > 1e-15)
     with np.errstate(divide="ignore", invalid="ignore"):

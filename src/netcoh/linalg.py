@@ -13,6 +13,7 @@ random mixed states to within 4e-15 up to d = 1024, the largest checked.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Sequence
@@ -96,7 +97,9 @@ class DensityMatrix:
         dims = tuple(int(d) for d in self.dims)
         if any(d < 1 for d in dims):
             raise DimensionMismatchError(f"subsystem dims must be positive, got {dims}")
-        if int(np.prod(dims)) != mat.shape[0]:
+        # math.prod, exact on Python ints: np.prod wraps around in int64, so
+        # dims like (2**62 + 1, 4) would pass for a 4x4 matrix.
+        if math.prod(dims) != mat.shape[0]:
             raise DimensionMismatchError(
                 f"dims {dims} do not multiply to matrix dimension {mat.shape[0]}"
             )

@@ -75,6 +75,14 @@ class TestCoherenceCommand:
         err = capsys.readouterr().err
         assert "malformed matrix" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("dims", [5, [None], [2.0, 2], ["2", 2], [True, 2], [2**62 + 1, 4]])
+    def test_bad_dims_exit_2(self, tmp_path, capsys, dims):
+        path = tmp_path / "bad_dims.json"
+        path.write_text(json.dumps(dict(matrix_to_json(np.eye(4) / 4), dims=dims)))
+        assert main(["coherence", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "dims" in err and "Traceback" not in err
+
     def test_cut_and_basis_flags(self, tmp_path, capsys):
         path = write_state(tmp_path / "bell.json", bell_state(), (2, 2))
         basis = {"local_bases": [matrix_to_json(np.eye(2)), matrix_to_json(np.eye(2))]}
@@ -291,8 +299,8 @@ GOLDEN_CLASSIFY_CC = (
     '{"discord_a_to_b":0.0,"discord_b_to_a":0.0,"is_cc":true,"is_ppt":true,'
     '"is_product":false,"is_qc_a_to_b":true,"is_qc_b_to_a":true,'
     '"quantum_correlated":true,"rec_net_in_basis":0.124511249784,'
-    '"witness_basis":[{"dim":2,"entries":[[0.295520206434912,0.0],'
-    '[0.9553364891956483,0.0],[-0.9553364891956483,0.0],[0.295520206434912,0.0]]},'
+    '"witness_basis":[{"dim":2,"entries":[[0.2955202065641234,0.0],'
+    '[0.9553364891556785,0.0],[-0.9553364891556785,0.0],[0.2955202065641234,0.0]]},'
     '{"dim":2,"entries":[[-0.7071067811865475,0.0],[-0.7071067811865475,0.0],[0.0,'
     '0.7071067811865475],[0.0,-0.7071067811865475]]}]}'
 )

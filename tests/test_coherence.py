@@ -111,6 +111,30 @@ class TestEntropy:
             assert -1e-9 <= s <= 2 + 1e-9
 
 
+class TestEigvals2x2:
+    def test_matches_eigvalsh_on_a_stack(self):
+        from netcoh.coherence import _eigvals_2x2
+
+        gen = substream(11, 2)
+        vec = haar_unitary(2, gen)[:, 0]
+        stack = [
+            np.zeros((2, 2), dtype=complex),
+            0.7 * np.outer(vec, vec.conj()),
+            np.diag([0.2, 0.5]).astype(complex),
+            np.eye(2, dtype=complex) / 2,
+        ]
+        for _ in range(8):
+            g = gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2))
+            stack.append(g @ g.conj().T)
+        stack = np.array(stack).reshape(3, 4, 2, 2)
+        closed = _eigvals_2x2(stack)
+        assert closed.shape == (3, 4, 2)
+        assert np.max(np.abs(closed - np.linalg.eigvalsh(stack))) <= 1e-14
+        single = _eigvals_2x2(stack[0, 1])
+        assert single.shape == (2,)
+        assert np.max(np.abs(single - np.linalg.eigvalsh(stack[0, 1]))) <= 1e-14
+
+
 class TestRec:
     def test_zero_on_diagonal_states(self):
         rho = DensityMatrix(np.diag([0.4, 0.1, 0.3, 0.2]), (2, 2))

@@ -21,6 +21,7 @@ from .coherence import (
     ProductBasis,
     minimize_discord,
     net_global_coherence,
+    require_bipartite,
 )
 from .linalg import (
     DensityMatrix,
@@ -74,14 +75,9 @@ class CorrelationVerdict:
         return out
 
 
-def _require_bipartite(rho: DensityMatrix) -> None:
-    if len(rho.dims) != 2:
-        raise DimensionMismatchError(f"expected a two-subsystem state, got dims {rho.dims}")
-
-
 def is_product(rho: DensityMatrix, tol: float = PRODUCT_TOL) -> bool:
     """True iff the state equals the tensor product of its marginals."""
-    _require_bipartite(rho)
+    require_bipartite(rho)
     marg_a = partial_trace(rho, (0,)).matrix
     marg_b = partial_trace(rho, (1,)).matrix
     return bool(np.max(np.abs(rho.matrix - tensor(marg_a, marg_b))) <= tol)
@@ -108,7 +104,7 @@ def is_cc(
     minimizations (each returned basis already carries a simultaneous
     eigenbasis of the conditionals on its unmeasured side).
     """
-    _require_bipartite(rho)
+    require_bipartite(rho)
     result_ab = minimize_discord(rho, A_TO_B, seed=seed, restarts=restarts)
     if result_ab[0] > threshold:
         return False, None
@@ -150,7 +146,7 @@ def is_one_way_qc(
 ) -> bool:
     """True iff the state is classical on the measured side of ``direction``,
     i.e. its minimized discord in that direction vanishes."""
-    _require_bipartite(rho)
+    require_bipartite(rho)
     val, _ = minimize_discord(rho, direction, seed=seed, restarts=restarts)
     return val <= threshold
 
@@ -160,7 +156,7 @@ def ppt_separability(rho: DensityMatrix) -> tuple[bool, float]:
 
     Returns (is_ppt, min eigenvalue of the partial transpose).
     """
-    _require_bipartite(rho)
+    require_bipartite(rho)
     if sorted(rho.dims) not in ([2, 2], [2, 3]):
         raise DimensionMismatchError(
             f"PPT separability is decided only for 2x2 and 2x3 systems, got {rho.dims}"
@@ -184,7 +180,7 @@ def classify(
     The state counts as quantum correlated iff its net global coherence in
     ``basis`` exceeds 1e-6 bits.
     """
-    _require_bipartite(rho)
+    require_bipartite(rho)
     result_ab = minimize_discord(rho, A_TO_B, seed=seed, restarts=restarts)
     result_ba = minimize_discord(rho, B_TO_A, seed=seed, restarts=restarts)
     discord_ab, discord_ba = result_ab[0], result_ba[0]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -30,7 +31,7 @@ from .linalg import (
     matrix_from_json,
 )
 from .ndqc2 import CapabilityViolationError, run_protocol_detailed
-from .reporting import canonical_dumps, write_json
+from .reporting import canonical_dumps
 from .rng import DEFAULT_SEED
 from .verify import run_suite
 
@@ -127,21 +128,30 @@ def _load_unitary_entry(entry, base_dir: Path):
         raise ParseFailure(str(exc)) from exc
 
 
-def _emit(args, name: str, payload, manifest_inputs: dict, started: float) -> None:
+def _write_out(args, seed, inputs: tuple[str, ...], started: float, reports: dict) -> None:
+    """With ``--out``, write each report text under its file name, plus a
+    ``manifest.json`` with the command, seed, tool version, the SHA-256 of
+    each input file and the run time.  Without ``--out``, do nothing."""
+    if not args.out:
+        return
+    manifest = {
+        "command": " ".join(sys.argv),
+        "seed": seed,
+        "tool_version": __version__,
+        "inputs": {path: _file_digest(path) for path in inputs},
+        "duration_seconds": round(time.time() - started, 3),
+    }
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in {**reports, "manifest.json": canonical_dumps(manifest) + "\n"}.items():
+        (out_dir / name).write_text(text, encoding="utf-8", newline="")
+
+
+def _emit(args, name: str, payload, started: float) -> None:
+    """Print a state command's report and write it with ``--out``."""
     text = canonical_dumps(payload)
     print(text)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(str(out_dir / f"{name}.json"), payload)
-        manifest = {
-            "command": " ".join(sys.argv),
-            "seed": getattr(args, "seed", None),
-            "tool_version": __version__,
-            "inputs": manifest_inputs,
-            "duration_seconds": round(time.time() - started, 3),
-        }
-        write_json(str(out_dir / "manifest.json"), manifest)
+    _write_out(args, args.seed, (args.state,), started, {f"{name}.json": text + "\n"})
 
 
 def cmd_coherence(args) -> int:
@@ -150,7 +160,7 @@ def cmd_coherence(args) -> int:
     basis = load_basis(args.basis, rho.dims)
     cut = parse_cut(args.cut, rho.dims)
     report = net_global_coherence(rho, basis, cut)
-    _emit(args, "coherence", report.to_json(), {args.state: _file_digest(args.state)}, started)
+    _emit(args, "coherence", report.to_json(), started)
     return EXIT_OK
 
 
@@ -160,7 +170,7 @@ def cmd_classify(args) -> int:
     basis = load_basis(args.basis, rho.dims)
     threshold = args.tolerance if args.tolerance is not None else classify_mod.DISCORD_ZERO_THRESHOLD
     verdict = classify_mod.classify(rho, basis, seed=args.seed, threshold=threshold)
-    _emit(args, "classify", verdict.to_json(), {args.state: _file_digest(args.state)}, started)
+    _emit(args, "classify", verdict.to_json(), started)
     return EXIT_OK
 
 
@@ -181,8 +191,8 @@ def cmd_ndqc2(args) -> int:
     report, transcript, _record = run_protocol_detailed(
         task, (u_a, u_b), shots, seed, signs, inject
     )
-    payload = report.to_json()
-    print(canonical_dumps(payload))
+    text = canonical_dumps(report.to_json())
+    print(text)
     exact, est = report.iota_exact, report.iota_est
     print(
         f"# iota exact {exact.real:+.6f}{exact.imag:+.6f}i"
@@ -190,19 +200,11 @@ def cmd_ndqc2(args) -> int:
         f"  SE empirical {report.se_empirical:.6f} predicted {report.se_predicted:.6f}",
         file=sys.stderr,
     )
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(str(out_dir / "report.json"), payload)
-        write_json(str(out_dir / "transcript.json"), transcript.to_json())
-        manifest = {
-            "command": " ".join(sys.argv),
-            "seed": seed,
-            "tool_version": __version__,
-            "inputs": {args.descriptor: _file_digest(args.descriptor)},
-            "duration_seconds": round(time.time() - started, 3),
-        }
-        write_json(str(out_dir / "manifest.json"), manifest)
+    reports = {
+        "report.json": text + "\n",
+        "transcript.json": canonical_dumps(transcript.to_json()) + "\n",
+    }
+    _write_out(args, seed, (args.descriptor,), started, reports)
     return EXIT_OK
 
 
@@ -217,35 +219,40 @@ def worker_count(raw: str | None) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
+def _csv_text(rows: list[dict]) -> str:
+    """Rows as CSV with sorted column names; empty for no rows."""
+    if not rows:
+        return ""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=sorted({k for row in rows for k in row}))
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def cmd_verify(args) -> int:
+    started = time.time()
     workers = worker_count(os.environ.get("NETCOH_WORKERS"))
     try:
         results = run_suite(args.suite, args.seed, args.ensemble_size, workers)
     except KeyError as exc:
         raise ParseFailure(str(exc)) from exc
-    all_passed = True
     for result in results:
         print(result.summary)
         for failure in result.failures[:20]:
             print(f"  {failure}")
-        all_passed &= result.passed
-        if args.out:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
+    # Built only with --out: canonical JSON rejects the NaN a failed thm5
+    # cross-check leaves in its row, and that must still exit 1.
+    if args.out:
+        reports = {}
+        for result in results:
             if args.format == "csv":
-                path = out_dir / f"{result.name}.csv"
-                with open(path, "w", newline="", encoding="utf-8") as fh:
-                    if result.rows:
-                        keys = sorted({k for row in result.rows for k in row})
-                        writer = csv.DictWriter(fh, fieldnames=keys)
-                        writer.writeheader()
-                        writer.writerows(result.rows)
+                reports[f"{result.name}.csv"] = _csv_text(result.rows)
             else:
-                write_json(
-                    str(out_dir / f"{result.name}.json"),
-                    {"passed": result.passed, "failures": result.failures, "rows": result.rows},
-                )
-    return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
+                payload = {"passed": result.passed, "failures": result.failures, "rows": result.rows}
+                reports[f"{result.name}.json"] = canonical_dumps(payload) + "\n"
+        _write_out(args, args.seed, (), started, reports)
+    return EXIT_OK if all(result.passed for result in results) else EXIT_VERIFY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

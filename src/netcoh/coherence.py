@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .linalg import (
-    ATOL_SPECTRAL,
     DensityMatrix,
     DimensionMismatchError,
     as_square_matrix,
@@ -59,7 +58,7 @@ class ProductBasis:
             m = as_square_matrix(mat)
             if m.shape[0] != d:
                 raise DimensionMismatchError(f"local basis dim {m.shape[0]} != subsystem dim {d}")
-            if not is_unitary(m, ATOL_SPECTRAL):
+            if not is_unitary(m):
                 raise ValueError("local basis matrix is not unitary within 1e-9")
             m = m.copy()
             m.setflags(write=False)
@@ -87,11 +86,6 @@ class ProductBasis:
         return ProductBasis(
             tuple(self.local_bases[i] for i in idx), tuple(self.dims[i] for i in idx)
         )
-
-    def replace_local(self, subsystem: int, mat: np.ndarray) -> "ProductBasis":
-        locs = list(self.local_bases)
-        locs[int(subsystem)] = mat
-        return ProductBasis(tuple(locs), self.dims)
 
 
 def random_product_basis(dims: Sequence[int], gen: np.random.Generator) -> ProductBasis:
@@ -289,11 +283,9 @@ def net_global_coherence(
 # Basis-dependent discord
 
 
-def _require_bipartite(rho: DensityMatrix) -> None:
+def require_bipartite(rho: DensityMatrix) -> None:
     if len(rho.dims) != 2:
-        raise DimensionMismatchError(
-            f"discord functions need a two-subsystem state, got dims {rho.dims}"
-        )
+        raise DimensionMismatchError(f"expected a two-subsystem state, got dims {rho.dims}")
 
 
 def _measured_side(direction: str) -> int:
@@ -364,7 +356,7 @@ def basis_dependent_discord(rho: DensityMatrix, basis: ProductBasis, direction: 
     Nonnegative; zero for states already block-diagonal in the measured
     side's basis.
     """
-    _require_bipartite(rho)
+    require_bipartite(rho)
     _check_basis(rho, basis)
     side = _measured_side(direction)
     other = 1 - side
@@ -440,7 +432,7 @@ def minimize_discord(
     best value found; no constructive basis search beyond the restarts is
     attempted.
     """
-    _require_bipartite(rho)
+    require_bipartite(rho)
     side = _measured_side(direction)
     d_m = rho.dims[side]
     mi = mutual_information(rho, BIPARTITE_CUT)

@@ -23,6 +23,7 @@ from .linalg import (
     DensityMatrix,
     DimensionMismatchError,
     as_square_matrix,
+    check_finite,
     matrix_from_json,
     matrix_to_json,
 )
@@ -46,8 +47,9 @@ class KrausChannel:
             raise ValueError("a channel needs at least one Kraus operator")
         mats = []
         dim = None
-        for f in self.kraus:
+        for k, f in enumerate(self.kraus):
             m = as_square_matrix(f)
+            check_finite(m, f"F_{k}")
             if dim is None:
                 dim = m.shape[0]
             elif m.shape[0] != dim:
@@ -226,27 +228,6 @@ class StochasticMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class ClassicalState:
-    """Probability vector over the computational alphabet."""
-
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float).reshape(-1)
-        if np.min(p) < -1e-12:
-            raise ValueError("probabilities must be non-negative")
-        if not abs(p.sum() - 1.0) <= 1e-12:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-        p = np.clip(p, 0.0, None)
-        p.setflags(write=False)
-        object.__setattr__(self, "probabilities", p)
-
-    @property
-    def dim(self) -> int:
-        return self.probabilities.shape[0]
 
 
 def embed_classical(g: StochasticMatrix, basis: ProductBasis) -> KrausChannel:

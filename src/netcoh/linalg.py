@@ -12,7 +12,6 @@ random mixed states to within 4e-15 up to d = 1024, the largest checked.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
@@ -44,10 +43,6 @@ def as_square_matrix(m: np.ndarray) -> np.ndarray:
     return a
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
-
-
 def matrices_equal(a: np.ndarray, b: np.ndarray, atol: float = ATOL_IDENTITY) -> bool:
     """Entrywise equality with an explicit absolute tolerance."""
     a = np.asarray(a)
@@ -57,14 +52,21 @@ def matrices_equal(a: np.ndarray, b: np.ndarray, atol: float = ATOL_IDENTITY) ->
     return bool(np.max(np.abs(a - b)) <= atol)
 
 
-def is_hermitian(m: np.ndarray, atol: float = ATOL_IDENTITY) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     a = np.asarray(m)
-    return bool(np.max(np.abs(a - a.conj().T)) <= atol)
+    return bool(np.max(np.abs(a - a.conj().T)) <= ATOL_IDENTITY)
 
 
-def is_unitary(m: np.ndarray, atol: float = ATOL_SPECTRAL) -> bool:
+def is_unitary(m: np.ndarray) -> bool:
     a = as_square_matrix(m)
-    return matrices_equal(a.conj().T @ a, np.eye(a.shape[0]), atol)
+    return matrices_equal(a.conj().T @ a, np.eye(a.shape[0]), ATOL_SPECTRAL)
+
+
+def check_finite(a: np.ndarray, name: str, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming the first NaN or infinite entry of ``a``."""
+    if not np.isfinite(a).all():
+        index = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
+        raise error(f"non-finite entry {name}{list(index)} = {a[index]}")
 
 
 def tensor(*operands: np.ndarray) -> np.ndarray:
@@ -103,8 +105,9 @@ class DensityMatrix:
             raise DimensionMismatchError(
                 f"dims {dims} do not multiply to matrix dimension {mat.shape[0]}"
             )
-        # Comparisons are written to fail on NaN: any non-finite entry makes
-        # herm_err NaN, and NaN > tol would be False.
+        # Before any arithmetic: an infinite entry would make herm_err NaN,
+        # with a numpy warning and a message that names no entry.
+        check_finite(mat, "rho", InvalidStateError)
         herm_err = float(np.max(np.abs(mat - mat.conj().T)))
         if not herm_err <= ATOL_IDENTITY:
             raise InvalidStateError(f"not Hermitian: max |rho_ij - conj(rho_ji)| = {herm_err:.3e}")
@@ -142,9 +145,6 @@ class DensityMatrix:
         v = v / norm
         return cls(np.outer(v, v.conj()), tuple(dims))
 
-    def marginal(self, keep: Iterable[int]) -> "DensityMatrix":
-        return partial_trace(self, keep)
-
 
 def _require_psd(sym: np.ndarray) -> None:
     # Cholesky of rho + (|floor| + slack) I succeeds iff min eigenvalue is
@@ -160,12 +160,6 @@ def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
     dims = tuple(dims)
     d = int(np.prod(dims))
     return DensityMatrix(np.eye(d, dtype=complex) / d, dims)
-
-
-def _digit_table(dims: tuple[int, ...]) -> np.ndarray:
-    """Array of shape (n_subsystems, prod(dims)): digits of each flat index."""
-    total = int(np.prod(dims))
-    return np.array(np.unravel_index(np.arange(total), dims))
 
 
 def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -232,7 +226,7 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reconstruction ``V diag(w) V^dag`` matches it to within 1e-9.
     """
     a = as_square_matrix(m)
-    if not is_hermitian(a, ATOL_IDENTITY):
+    if not is_hermitian(a):
         raise NotHermitianError("hermitian_eig requires a Hermitian matrix")
     return np.linalg.eigh((a + a.conj().T) / 2.0)
 
@@ -256,7 +250,7 @@ def unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvector components.
     """
     a = as_square_matrix(u)
-    if not is_unitary(a, ATOL_SPECTRAL):
+    if not is_unitary(a):
         raise ValueError("unitary_eig requires a unitary matrix")
     h = (a + a.conj().T) / 2.0
     k = (a - a.conj().T) / 2.0j
@@ -417,7 +411,9 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        d = int(obj["dim"])
+        d = obj["dim"]
+        if type(d) is not int:
+            raise ValueError(f"dim must be an integer, got {d!r}")
         entries = obj["entries"]
         if len(entries) != d * d:
             raise ValueError(f"matrix of dim {d} needs {d * d} entries, got {len(entries)}")
@@ -438,19 +434,11 @@ def gate_network_to_json(network: GateNetwork) -> dict:
 
 def gate_network_from_json(obj: dict) -> GateNetwork:
     try:
-        n = int(obj["qubits"])
+        n = obj["qubits"]
+        if type(n) is not int:
+            raise ValueError(f"qubits must be an integer, got {n!r}")
         gates = tuple((g["name"], tuple(g["targets"])) for g in obj["gates"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed gate-network object: {exc}") from exc
     return GateNetwork(n, gates)
 
-
-def load_matrix(path: str) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh))
-
-
-def save_matrix(path: str, m: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(m), fh)
-        fh.write("\n")

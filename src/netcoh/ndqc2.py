@@ -25,7 +25,6 @@ import numpy as np
 
 from .coherence import BIPARTITE_CUT, ProductBasis, net_global_coherence
 from .linalg import (
-    ATOL_SPECTRAL,
     DensityMatrix,
     GateNetwork,
     compile_gate_network,
@@ -70,7 +69,7 @@ def resolve_unitary(u: np.ndarray | GateNetwork) -> np.ndarray:
     if isinstance(u, GateNetwork):
         return compile_gate_network(u)
     m = np.asarray(u, dtype=complex)
-    if not is_unitary(m, ATOL_SPECTRAL):
+    if not is_unitary(m):
         raise ValueError("matrix is not unitary within 1e-9")
     return m
 
@@ -539,21 +538,8 @@ def sample_run_with_record(
 MESSAGE_KINDS = ("state", "gate-network", "statistics")
 
 
-@dataclass(frozen=True)
-class PartyRole:
-    role: str
-    capabilities: frozenset[str]
-
-
-CLIENT_ROLE = PartyRole(
-    "client",
-    frozenset({"prepare-states", "send-state", "send-gate-network", "combine-statistics"}),
-)
-SERVER_ROLE = PartyRole(
-    "server", frozenset({"apply-unitary", "measure-destructive", "send-statistics"})
-)
-
-PARTIES = {"charlie": CLIENT_ROLE, "alice": SERVER_ROLE, "bob": SERVER_ROLE}
+# Charlie is the client; Alice and Bob are the servers.
+PARTIES = ("charlie", "alice", "bob")
 
 
 class CapabilityViolationError(RuntimeError):

@@ -7,13 +7,13 @@ import json
 from typing import Any
 
 
-def sig(x: float, digits: int = 12) -> float:
-    """Round to ``digits`` significant digits (stable across platforms)."""
-    return float(f"{float(x):.{digits}g}")
+def sig(x: float) -> float:
+    """Round to 12 significant digits (stable across platforms)."""
+    return float(f"{float(x):.12g}")
 
 
-def complex_json(z: complex, digits: int = 12) -> dict:
-    return {"re": sig(z.real, digits), "im": sig(z.imag, digits)}
+def complex_json(z: complex) -> dict:
+    return {"re": sig(z.real), "im": sig(z.imag)}
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -24,9 +24,3 @@ def canonical_dumps(obj: Any) -> str:
 def digest(obj: Any) -> str:
     """SHA-256 hex digest of the canonical JSON form."""
     return hashlib.sha256(canonical_dumps(obj).encode("utf-8")).hexdigest()
-
-
-def write_json(path: str, obj: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(obj))
-        fh.write("\n")

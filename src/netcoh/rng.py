@@ -38,10 +38,9 @@ def substream(seed: int, *lanes: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def ginibre(dim: int, gen: np.random.Generator, cols: int | None = None) -> np.ndarray:
-    """Complex Gaussian matrix with i.i.d. standard complex normal entries."""
-    cols = dim if cols is None else cols
-    return (gen.standard_normal((dim, cols)) + 1j * gen.standard_normal((dim, cols))) / np.sqrt(2.0)
+def ginibre(dim: int, gen: np.random.Generator) -> np.ndarray:
+    """Square complex Gaussian matrix with i.i.d. standard complex normal entries."""
+    return (gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))) / np.sqrt(2.0)
 
 
 def haar_unitary(dim: int, gen: np.random.Generator) -> np.ndarray:

@@ -31,6 +31,7 @@ from .coherence import (
 from .linalg import (
     DensityMatrix,
     hermitian_eig,
+    partial_trace,
     random_density_matrix,
     random_pure_density,
     tensor,
@@ -54,6 +55,14 @@ _LANE_ISO = 11
 _LANE_SE = 12
 _LANE_PRIVACY = 13
 
+# Fixed ensemble parameters that ``--ensemble-size`` does not scale.
+_THM5_BASES = 20  # product bases sampled per thm5 state
+_THM6_BASES = 50  # product bases sampled per discordant thm6 state
+_SE_SHOT_GRID = (1_000, 10_000, 100_000)
+_SE_REPS = 6  # protocol runs averaged per se-scaling shot count
+_PRIVACY_SHOTS = 40_000
+_PRIVACY_LEAK_RUNS = 10
+
 
 @dataclass
 class SuiteResult:
@@ -69,23 +78,36 @@ class SuiteResult:
         return f"{self.name}: {status}, {len(self.rows)} instances{detail}"
 
 
-def _parallel_rows(
-    worker: Callable[[tuple], list[dict]], chunks: Sequence[tuple], workers: int
+def _chunk_rows(args: tuple) -> list[dict]:
+    instance, seed, family, start, stop = args
+    return [instance(seed, family, i) for i in range(start, stop)]
+
+
+def _sweep(
+    instance: Callable[[int, str, int], dict],
+    seed: int,
+    families: Sequence[tuple[str, int]],
+    workers: int,
 ) -> list[dict]:
+    """Rows ``instance(seed, family, i)`` for each (family, count) pair and
+    each i < count, in family order and then index order.
+
+    Every family is cut into about four chunks per worker, and a fork pool
+    runs the chunks when ``workers`` > 1.  Each instance draws from its own
+    substream, so the rows do not depend on the chunking or worker count.
+    """
+    chunks = []
+    for family, count in families:
+        size = max(1, math.ceil(count / (4 * max(workers, 1))))
+        chunks += [
+            (instance, seed, family, lo, min(lo + size, count)) for lo in range(0, count, size)
+        ]
     if workers <= 1 or len(chunks) <= 1:
-        results = [worker(chunk) for chunk in chunks]
+        parts = [_chunk_rows(chunk) for chunk in chunks]
     else:
         with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
-            results = pool.map(worker, chunks)
-    rows: list[dict] = []
-    for part in results:
-        rows.extend(part)
-    return rows
-
-
-def _chunk_ranges(total: int, pieces: int) -> list[tuple[int, int]]:
-    edges = np.linspace(0, total, pieces + 1).astype(int)
-    return [(int(edges[i]), int(edges[i + 1])) for i in range(pieces) if edges[i] < edges[i + 1]]
+            parts = pool.map(_chunk_rows, chunks)
+    return [row for part in parts for row in part]
 
 
 def dephased_mutual_info(rho: DensityMatrix, basis: ProductBasis, cut=BIPARTITE_CUT) -> float:
@@ -113,36 +135,32 @@ def _random_cc_diagonal(dims, gen) -> tuple[DensityMatrix, ProductBasis]:
     return DensityMatrix(mat, tuple(dims)), basis
 
 
-def _thm4_chunk(args: tuple) -> list[dict]:
-    seed, start, stop, kind = args
-    rows = []
-    for i in range(start, stop):
-        gen = substream(seed, _LANE_THM4, {"2x2": 0, "2x4": 1, "product": 2, "cc": 3}[kind], i)
-        if kind in ("2x2", "2x4"):
-            dims = (2, 2) if kind == "2x2" else (2, 4)
-            rho = random_density_matrix(dims, gen)
-            basis = random_product_basis(dims, gen)
-        elif kind == "product":
-            dims = (2, 2)
-            a = random_density_matrix((2,), gen)
-            b = random_density_matrix((2,), gen)
-            rho = DensityMatrix(tensor(a.matrix, b.matrix), dims)
-            basis = random_product_basis(dims, gen)
-        else:
-            dims = (2, 2)
-            rho, basis = _random_cc_diagonal(dims, gen)
-        report = net_global_coherence(rho, basis, BIPARTITE_CUT)
-        route7 = report.rec_global - sum(report.rec_local)
-        route8 = report.mutual_info - report.mutual_info_dephased
-        rows.append(
-            {
-                "kind": kind,
-                "index": i,
-                "rec_net": report.rec_net,
-                "route_gap": abs(route7 - route8),
-            }
-        )
-    return rows
+_THM4_LANES = {"2x2": 0, "2x4": 1, "product": 2, "cc": 3}
+
+
+def _thm4_row(seed: int, kind: str, i: int) -> dict:
+    gen = substream(seed, _LANE_THM4, _THM4_LANES[kind], i)
+    if kind in ("2x2", "2x4"):
+        dims = (2, 2) if kind == "2x2" else (2, 4)
+        rho = random_density_matrix(dims, gen)
+        basis = random_product_basis(dims, gen)
+    elif kind == "product":
+        dims = (2, 2)
+        a = random_density_matrix((2,), gen)
+        b = random_density_matrix((2,), gen)
+        rho = DensityMatrix(tensor(a.matrix, b.matrix), dims)
+        basis = random_product_basis(dims, gen)
+    else:
+        rho, basis = _random_cc_diagonal((2, 2), gen)
+    report = net_global_coherence(rho, basis, BIPARTITE_CUT)
+    route7 = report.rec_global - sum(report.rec_local)
+    route8 = report.mutual_info - report.mutual_info_dephased
+    return {
+        "kind": kind,
+        "index": i,
+        "rec_net": report.rec_net,
+        "route_gap": abs(route7 - route8),
+    }
 
 
 def suite_thm4(
@@ -155,11 +173,8 @@ def suite_thm4(
 ) -> SuiteResult:
     """Net-coherence positivity and two-route agreement on random ensembles,
     with equality on product states and basis-diagonal CC states."""
-    chunks = []
-    for kind, total in (("2x2", n_two_qubit), ("2x4", n_2x4), ("product", n_product), ("cc", n_cc)):
-        for lo, hi in _chunk_ranges(total, max(workers, 1) * 4):
-            chunks.append((seed, lo, hi, kind))
-    rows = _parallel_rows(_thm4_chunk, chunks, workers)
+    families = (("2x2", n_two_qubit), ("2x4", n_2x4), ("product", n_product), ("cc", n_cc))
+    rows = _sweep(_thm4_row, seed, families, workers)
     failures = []
     for row in rows:
         if row["rec_net"] < -1e-9:
@@ -177,56 +192,44 @@ def suite_thm4(
 # Pure states (thm5)
 
 
-def _thm5_chunk(args: tuple) -> list[dict]:
-    seed, start, stop, kind, n_bases = args
-    rows = []
-    for i in range(start, stop):
-        gen = substream(seed, _LANE_THM5, 0 if kind == "haar" else 1, i)
-        if kind == "haar":
-            rho = random_pure_density((2, 2), gen)
-        else:
-            va = random_pure_density((2,), gen)
-            vb = random_pure_density((2,), gen)
-            rho = DensityMatrix(tensor(va.matrix, vb.matrix), (2, 2))
-        marg = rho.marginal((0,))
-        entanglement_entropy = coh.von_neumann_entropy(marg)
-        mi = mutual_information(rho, BIPARTITE_CUT)
-        nets = []
-        for b_idx in range(n_bases):
-            basis = random_product_basis((2, 2), substream(seed, _LANE_THM5, 2, i, b_idx))
-            net = mi - dephased_mutual_info(rho, basis)
-            if b_idx == 0:
-                # Cross-validate the sweep shortcut against the full report.
-                full = net_global_coherence(rho, basis, BIPARTITE_CUT).rec_net
-                if abs(full - net) > 1e-9:
-                    net = math.nan
-            nets.append(net)
-        rows.append(
-            {
-                "kind": kind,
-                "index": i,
-                "entanglement_entropy": entanglement_entropy,
-                "rec_net_min": min(nets),
-                "rec_net_max": max(nets),
-            }
-        )
-    return rows
+def _thm5_row(seed: int, kind: str, i: int) -> dict:
+    gen = substream(seed, _LANE_THM5, 0 if kind == "haar" else 1, i)
+    if kind == "haar":
+        rho = random_pure_density((2, 2), gen)
+    else:
+        va = random_pure_density((2,), gen)
+        vb = random_pure_density((2,), gen)
+        rho = DensityMatrix(tensor(va.matrix, vb.matrix), (2, 2))
+    entanglement_entropy = coh.von_neumann_entropy(partial_trace(rho, (0,)))
+    mi = mutual_information(rho, BIPARTITE_CUT)
+    nets = []
+    for b_idx in range(_THM5_BASES):
+        basis = random_product_basis((2, 2), substream(seed, _LANE_THM5, 2, i, b_idx))
+        net = mi - dephased_mutual_info(rho, basis)
+        if b_idx == 0:
+            # Cross-validate the sweep shortcut against the full report.
+            full = net_global_coherence(rho, basis, BIPARTITE_CUT).rec_net
+            if abs(full - net) > 1e-9:
+                net = math.nan
+        nets.append(net)
+    return {
+        "kind": kind,
+        "index": i,
+        "entanglement_entropy": entanglement_entropy,
+        "rec_net_min": min(nets),
+        "rec_net_max": max(nets),
+    }
 
 
 def suite_thm5(
     seed: int,
     n_pure: int = 500,
     n_product: int = 100,
-    n_bases: int = 20,
     workers: int = 1,
 ) -> SuiteResult:
     """Pure-state law: entangled iff positive net coherence, product implies
-    zero, checked in sampled product bases."""
-    chunks = []
-    for kind, total in (("haar", n_pure), ("product", n_product)):
-        for lo, hi in _chunk_ranges(total, max(workers, 1) * 4):
-            chunks.append((seed, lo, hi, kind, n_bases))
-    rows = _parallel_rows(_thm5_chunk, chunks, workers)
+    zero, checked in 20 sampled product bases per state."""
+    rows = _sweep(_thm5_row, seed, (("haar", n_pure), ("product", n_product)), workers)
     failures = []
     for row in rows:
         if math.isnan(row["rec_net_min"]):
@@ -252,29 +255,9 @@ def suite_thm5(
 # CC recovery and discordant states (thm6)
 
 
-def _random_rotated_cc(gen) -> DensityMatrix:
-    ua = haar_unitary(2, gen)
-    ub = haar_unitary(2, gen)
-    p = gen.random((2, 2))
-    p /= p.sum()
-    mat = sum(
-        p[i, j]
-        * tensor(
-            np.outer(ua[:, i], ua[:, i].conj()),
-            np.outer(ub[:, j], ub[:, j].conj()),
-        )
-        for i in range(2)
-        for j in range(2)
-    )
-    return DensityMatrix(mat, (2, 2))
-
-
-def _thm6_cc_chunk(args: tuple) -> list[dict]:
-    seed, start, stop = args
-    rows = []
-    for i in range(start, stop):
-        gen = substream(seed, _LANE_THM6, 0, i)
-        rho = _random_rotated_cc(gen)
+def _thm6_row(seed: int, kind: str, i: int) -> dict:
+    if kind == "cc":
+        rho, _ = _random_cc_diagonal((2, 2), substream(seed, _LANE_THM6, 0, i))
         val_ab, basis_ab = minimize_discord(rho, A_TO_B, seed=seed + i)
         val_ba, basis_ba = minimize_discord(rho, B_TO_A, seed=seed + i)
         candidates = [
@@ -282,72 +265,50 @@ def _thm6_cc_chunk(args: tuple) -> list[dict]:
             basis_ba,
             ProductBasis((basis_ab.local_bases[0], basis_ba.local_bases[1]), rho.dims),
         ]
-        best_net = math.inf
-        for cand in candidates:
-            net = net_global_coherence(rho, cand, BIPARTITE_CUT).rec_net
-            best_net = min(best_net, net)
-        rows.append(
-            {
-                "kind": "cc",
-                "index": i,
-                "discord_ab": val_ab,
-                "discord_ba": val_ba,
-                "rec_net_witness": best_net,
-            }
-        )
-    return rows
-
-
-def _thm6_discordant_chunk(args: tuple) -> list[dict]:
-    seed, start, stop, n_bases = args
-    rows = []
-    for i in range(start, stop):
-        attempt = 0
-        while True:
-            gen = substream(seed, _LANE_THM6, 1, i, attempt)
-            rho = random_density_matrix((2, 2), gen)
-            val_ab, _ = minimize_discord(rho, A_TO_B, seed=seed + i, restarts=8)
-            val_ba, _ = minimize_discord(rho, B_TO_A, seed=seed + i, restarts=8)
-            if min(val_ab, val_ba) > 0.01:
-                break
-            attempt += 1
-            if attempt > 50:
-                raise RuntimeError("rejection sampling failed to find a discordant state")
-        mi = mutual_information(rho, BIPARTITE_CUT)
-        net_min = math.inf
-        for b_idx in range(n_bases):
-            basis = random_product_basis((2, 2), substream(seed, _LANE_THM6, 2, i, b_idx))
-            net_min = min(net_min, mi - dephased_mutual_info(rho, basis))
-        rows.append(
-            {
-                "kind": "discordant",
-                "index": i,
-                "discord_ab": val_ab,
-                "discord_ba": val_ba,
-                "rec_net_min": net_min,
-            }
-        )
-    return rows
+        return {
+            "kind": "cc",
+            "index": i,
+            "discord_ab": val_ab,
+            "discord_ba": val_ba,
+            "rec_net_witness": min(
+                net_global_coherence(rho, cand, BIPARTITE_CUT).rec_net for cand in candidates
+            ),
+        }
+    attempt = 0
+    while True:
+        gen = substream(seed, _LANE_THM6, 1, i, attempt)
+        rho = random_density_matrix((2, 2), gen)
+        val_ab, _ = minimize_discord(rho, A_TO_B, seed=seed + i, restarts=8)
+        val_ba, _ = minimize_discord(rho, B_TO_A, seed=seed + i, restarts=8)
+        if min(val_ab, val_ba) > 0.01:
+            break
+        attempt += 1
+        if attempt > 50:
+            raise RuntimeError("rejection sampling failed to find a discordant state")
+    mi = mutual_information(rho, BIPARTITE_CUT)
+    net_min = math.inf
+    for b_idx in range(_THM6_BASES):
+        basis = random_product_basis((2, 2), substream(seed, _LANE_THM6, 2, i, b_idx))
+        net_min = min(net_min, mi - dephased_mutual_info(rho, basis))
+    return {
+        "kind": "discordant",
+        "index": i,
+        "discord_ab": val_ab,
+        "discord_ba": val_ba,
+        "rec_net_min": net_min,
+    }
 
 
 def suite_thm6(
     seed: int,
     n_cc: int = 200,
     n_discordant: int = 200,
-    n_bases: int = 50,
     workers: int = 1,
 ) -> SuiteResult:
     """Rotated CC states: the discord minimizer recovers a basis with
     vanishing net coherence.  Discordant states: positive net coherence in
-    every sampled product basis."""
-    cc_chunks = [
-        (seed, lo, hi) for lo, hi in _chunk_ranges(n_cc, max(workers, 1) * 4)
-    ]
-    rows = _parallel_rows(_thm6_cc_chunk, cc_chunks, workers)
-    disc_chunks = [
-        (seed, lo, hi, n_bases) for lo, hi in _chunk_ranges(n_discordant, max(workers, 1) * 4)
-    ]
-    rows.extend(_parallel_rows(_thm6_discordant_chunk, disc_chunks, workers))
+    each of 50 sampled product bases."""
+    rows = _sweep(_thm6_row, seed, (("cc", n_cc), ("discordant", n_discordant)), workers)
     failures = []
     for row in rows:
         if row["kind"] == "cc":
@@ -411,50 +372,39 @@ def _permutation_channel(d: int, gen, basis: ProductBasis) -> iops.KrausChannel:
     return iops.KrausChannel.unitary(b @ p @ b.conj().T)
 
 
-def _lemma1_chunk(args: tuple) -> list[dict]:
-    seed, start, stop = args
-    rows = []
-    for i in range(start, stop):
-        gen = substream(seed, _LANE_LEMMA1, i)
-        dims = (2, 2)
-        d = 4
-        rotated = bool(gen.integers(2))
-        basis = (
-            random_product_basis(dims, gen) if rotated else ProductBasis.computational(dims)
-        )
-        family = i % 4
-        if family == 0:
-            channel = _random_incoherent_channel(d, gen)
-            if rotated:
-                b = basis.matrix
-                channel = iops.KrausChannel(tuple(b @ f @ b.conj().T for f in channel.kraus))
-        elif family == 1:
-            channel = iops.KrausChannel.unitary(haar_unitary(d, gen))
-        elif family == 2:
-            channel = _permutation_channel(d, gen, basis)
-        else:
+def _lemma1_row(seed: int, _family: str, i: int) -> dict:
+    gen = substream(seed, _LANE_LEMMA1, i)
+    dims = (2, 2)
+    d = 4
+    rotated = bool(gen.integers(2))
+    basis = random_product_basis(dims, gen) if rotated else ProductBasis.computational(dims)
+    family = i % 4
+    if family == 0:
+        channel = _random_incoherent_channel(d, gen)
+        if rotated:
             b = basis.matrix
-            channel = iops.KrausChannel(
-                tuple(np.outer(b[:, k], b[:, k].conj()) for k in range(d))
-            )
-        incoherent, _ = iops.is_incoherent(channel, basis)
-        strict, _ = iops.is_strict_incoherent(channel, basis)  # raises on test disagreement
-        rows.append(
-            {
-                "index": i,
-                "family": ("projected", "unitary", "permutation", "dephasing")[family],
-                "incoherent": incoherent,
-                "strict": strict,
-            }
-        )
-    return rows
+            channel = iops.KrausChannel(tuple(b @ f @ b.conj().T for f in channel.kraus))
+    elif family == 1:
+        channel = iops.KrausChannel.unitary(haar_unitary(d, gen))
+    elif family == 2:
+        channel = _permutation_channel(d, gen, basis)
+    else:
+        b = basis.matrix
+        channel = iops.KrausChannel(tuple(np.outer(b[:, k], b[:, k].conj()) for k in range(d)))
+    incoherent, _ = iops.is_incoherent(channel, basis)
+    strict, _ = iops.is_strict_incoherent(channel, basis)  # raises on test disagreement
+    return {
+        "index": i,
+        "family": ("projected", "unitary", "permutation", "dephasing")[family],
+        "incoherent": incoherent,
+        "strict": strict,
+    }
 
 
 def suite_lemma1(seed: int, n_channels: int = 1000, workers: int = 1) -> SuiteResult:
     """Agreement of the definitional and sparsity strictness tests across
     random channels, plus the canonical pass and fail cases."""
-    chunks = [(seed, lo, hi) for lo, hi in _chunk_ranges(n_channels, max(workers, 1) * 4)]
-    rows = _parallel_rows(_lemma1_chunk, chunks, workers)
+    rows = _sweep(_lemma1_row, seed, (("channel", n_channels),), workers)
     failures = []
     for row in rows:
         if row["strict"] and not row["incoherent"]:
@@ -493,45 +443,38 @@ def suite_lemma1(seed: int, n_channels: int = 1000, workers: int = 1) -> SuiteRe
 # Classical-computation embedding (isomorphism)
 
 
-def _iso_chunk(args: tuple) -> list[dict]:
-    seed, start, stop = args
-    rows = []
-    for i in range(start, stop):
-        gen = substream(seed, _LANE_ISO, i)
-        d = int(gen.integers(2, 9))
-        g = gen.random((d, d))
-        g /= g.sum(axis=0, keepdims=True)
-        stoch = iops.StochasticMatrix(g)
-        basis = ProductBasis((haar_unitary(d, gen),), (d,))
-        channel = iops.embed_classical(stoch, basis)
-        strict, _ = iops.is_strict_incoherent(channel, basis)
-        round_trip = iops.extract_classical(channel, basis)
-        rt_err = float(np.max(np.abs(round_trip.matrix - g)))
-        p = gen.random(d)
-        p /= p.sum()
-        b = basis.matrix
-        rho = DensityMatrix((b * p) @ b.conj().T, (d,))
-        out = iops.apply_channel(channel, rho)
-        out_frame = b.conj().T @ out.matrix @ b
-        action_err = float(np.max(np.abs(np.diagonal(out_frame).real - g @ p)))
-        off_err = float(np.max(np.abs(out_frame - np.diag(np.diagonal(out_frame)))))
-        rows.append(
-            {
-                "index": i,
-                "dim": d,
-                "strict": strict,
-                "round_trip_err": rt_err,
-                "action_err": max(action_err, off_err),
-            }
-        )
-    return rows
+def _iso_row(seed: int, _family: str, i: int) -> dict:
+    gen = substream(seed, _LANE_ISO, i)
+    d = int(gen.integers(2, 9))
+    g = gen.random((d, d))
+    g /= g.sum(axis=0, keepdims=True)
+    stoch = iops.StochasticMatrix(g)
+    basis = ProductBasis((haar_unitary(d, gen),), (d,))
+    channel = iops.embed_classical(stoch, basis)
+    strict, _ = iops.is_strict_incoherent(channel, basis)
+    round_trip = iops.extract_classical(channel, basis)
+    rt_err = float(np.max(np.abs(round_trip.matrix - g)))
+    p = gen.random(d)
+    p /= p.sum()
+    b = basis.matrix
+    rho = DensityMatrix((b * p) @ b.conj().T, (d,))
+    out = iops.apply_channel(channel, rho)
+    out_frame = b.conj().T @ out.matrix @ b
+    action_err = float(np.max(np.abs(np.diagonal(out_frame).real - g @ p)))
+    off_err = float(np.max(np.abs(out_frame - np.diag(np.diagonal(out_frame)))))
+    return {
+        "index": i,
+        "dim": d,
+        "strict": strict,
+        "round_trip_err": rt_err,
+        "action_err": max(action_err, off_err),
+    }
 
 
 def suite_isomorphism(seed: int, n: int = 100, workers: int = 1) -> SuiteResult:
     """Embedding of stochastic maps round-trips exactly and reproduces the
     classical action on diagonal states."""
-    chunks = [(seed, lo, hi) for lo, hi in _chunk_ranges(n, max(workers, 1) * 4)]
-    rows = _parallel_rows(_iso_chunk, chunks, workers)
+    rows = _sweep(_iso_row, seed, (("iso", n),), workers)
     failures = []
     for row in rows:
         if not row["strict"]:
@@ -547,33 +490,29 @@ def suite_isomorphism(seed: int, n: int = 100, workers: int = 1) -> SuiteResult:
 # Precision scaling (se-scaling)
 
 
-def suite_se_scaling(
-    seed: int,
-    shot_grid: Sequence[int] = (1_000, 10_000, 100_000),
-    reps: int = 6,
-    workers: int = 1,
-) -> SuiteResult:
+def suite_se_scaling(seed: int) -> SuiteResult:
     """Empirical standard error tracks the predicted inverse-root law within
-    a factor of three, with log-log slope -0.5 +/- 0.1."""
+    a factor of three, with log-log slope -0.5 +/- 0.1, over 1e3, 1e4 and
+    1e5 shots and 6 runs per shot count."""
     gen = substream(seed, _LANE_SE)
     u_a = haar_unitary(4, gen)
     u_b = haar_unitary(4, gen)
     rows = []
     failures = []
     mean_ses = []
-    for m in shot_grid:
+    for m in _SE_SHOT_GRID:
         ses = []
-        for r in range(reps):
-            report, _ = sample_run_with_record(2, u_a, u_b, int(m), seed + 7919 * r)
+        for r in range(_SE_REPS):
+            report, _ = sample_run_with_record(2, u_a, u_b, m, seed + 7919 * r)
             ses.append(report.se_empirical)
         se_mean = float(np.mean(ses))
-        predicted = predicted_se(iota_factor(u_a), iota_factor(u_b), int(m), report.rec_control)
+        predicted = predicted_se(iota_factor(u_a), iota_factor(u_b), m, report.rec_control)
         ratio = se_mean / predicted
-        rows.append({"shots": int(m), "se_empirical": se_mean, "se_predicted": predicted, "ratio": ratio})
+        rows.append({"shots": m, "se_empirical": se_mean, "se_predicted": predicted, "ratio": ratio})
         mean_ses.append(se_mean)
         if not (1.0 / 3.0 <= ratio <= 3.0):
             failures.append(f"shots={m}: SE ratio {ratio:.3f} outside [1/3, 3]")
-    slope = float(np.polyfit(np.log(list(shot_grid)), np.log(mean_ses), 1)[0])
+    slope = float(np.polyfit(np.log(_SE_SHOT_GRID), np.log(mean_ses), 1)[0])
     rows.append({"shots": "slope", "se_empirical": slope, "se_predicted": -0.5, "ratio": None})
     if abs(slope + 0.5) > 0.1:
         failures.append(f"log-log slope {slope:.3f} outside -0.5 +/- 0.1")
@@ -590,24 +529,19 @@ def _diagonal_phase_unitary(n_qubits: int, gen, max_phase: float) -> np.ndarray:
     return np.diag(np.exp(1j * phases))
 
 
-def suite_privacy(
-    seed: int,
-    n_unitaries: int = 50,
-    shots: int = 40_000,
-    n_leak: int = 10,
-    workers: int = 1,
-) -> SuiteResult:
+def suite_privacy(seed: int, n_unitaries: int = 50) -> SuiteResult:
     """Correlated-input runs leak nothing into single-server marginals; the
-    single-sided protocol with a large normalized trace is flagged."""
+    single-sided protocol with a large normalized trace is flagged in each
+    of 10 runs.  Every run takes 40 000 shots."""
     rows = []
     failures = []
-    bound = 4.0 / math.sqrt(shots / 4.0)
+    bound = 4.0 / math.sqrt(_PRIVACY_SHOTS / 4.0)
     for i in range(n_unitaries):
         gen = substream(seed, _LANE_PRIVACY, 0, i)
         n_q = int(gen.integers(1, 3))
         u_a = haar_unitary(2**n_q, gen)
         u_b = haar_unitary(2**n_q, gen)
-        _, record = sample_run_with_record(2, u_a, u_b, shots, seed + i)
+        _, record = sample_run_with_record(2, u_a, u_b, _PRIVACY_SHOTS, seed + i)
         audit = privacy_audit([record])
         worst = max(abs(c.mean) for c in audit.checks)
         rows.append(
@@ -617,12 +551,12 @@ def suite_privacy(
             failures.append(f"task2[{i}]: marginal {worst:.4f} > {bound:.4f}")
         if not audit.passed:
             failures.append(f"task2[{i}]: audit verdict {audit.verdict}")
-    for i in range(n_leak):
+    for i in range(_PRIVACY_LEAK_RUNS):
         gen = substream(seed, _LANE_PRIVACY, 1, i)
         u_a = _diagonal_phase_unitary(int(gen.integers(1, 4)), gen, math.pi / 4)
         u_b = haar_unitary(2, gen)
         assert abs(iota_factor(u_a)) >= 0.5
-        _, record = sample_run_with_record(1, u_a, u_b, shots, seed + 100 + i)
+        _, record = sample_run_with_record(1, u_a, u_b, _PRIVACY_SHOTS, seed + 100 + i)
         audit = privacy_audit([record])
         rows.append(
             {
@@ -651,12 +585,12 @@ def run_suite(name: str, seed: int, ensemble_scale: float = 1.0, workers: int = 
         "thm4": lambda: suite_thm4(
             seed, scaled(1000), scaled(100), scaled(200), scaled(200), workers=workers
         ),
-        "thm5": lambda: suite_thm5(seed, scaled(500), scaled(100), 20, workers=workers),
-        "thm6": lambda: suite_thm6(seed, scaled(200), scaled(200), 50, workers=workers),
+        "thm5": lambda: suite_thm5(seed, scaled(500), scaled(100), workers=workers),
+        "thm6": lambda: suite_thm6(seed, scaled(200), scaled(200), workers=workers),
         "lemma1": lambda: suite_lemma1(seed, scaled(1000), workers=workers),
         "isomorphism": lambda: suite_isomorphism(seed, scaled(100), workers=workers),
-        "se-scaling": lambda: suite_se_scaling(seed, workers=workers),
-        "privacy": lambda: suite_privacy(seed, scaled(50), workers=workers),
+        "se-scaling": lambda: suite_se_scaling(seed),
+        "privacy": lambda: suite_privacy(seed, scaled(50)),
     }
     if name == "all":
         return [dispatch[suite]() for suite in SUITE_NAMES]

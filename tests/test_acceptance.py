@@ -241,7 +241,7 @@ def test_criterion_10_precision_law():
 
 
 def test_criterion_11_marginal_privacy():
-    result = suite_privacy(SEED, n_unitaries=50, shots=40_000)
+    result = suite_privacy(SEED, n_unitaries=50)
     assert result.passed, result.failures[:5]
     task2 = [r for r in result.rows if r["kind"] == "task2"]
     leaks = [r for r in result.rows if r["kind"] == "task1-leak"]

@@ -30,6 +30,7 @@ from netcoh.linalg import (
     DensityMatrix,
     DimensionMismatchError,
     maximally_mixed,
+    partial_trace,
     random_density_matrix,
     random_pure_density,
     tensor,
@@ -154,7 +155,7 @@ class TestClassify:
         assert not verdict.quantum_correlated
         assert abs(verdict.rec_net_in_basis) <= 1e-9
         assert verdict.is_product and verdict.is_cc and verdict.is_ppt
-        assert abs(rec(rho.marginal((0,)), Z2.subset((0,))) - 1.0) <= 1e-9
+        assert abs(rec(partial_trace(rho, (0,)), Z2.subset((0,))) - 1.0) <= 1e-9
 
     def test_maximally_mixed_verdict(self):
         verdict = classify(maximally_mixed((2, 2)), Z2, seed=34)
@@ -253,7 +254,7 @@ class TestStateFormLaw:
             q = 0.2 + 0.6 * gen.random()
             rho = DensityMatrix(q * bell_state().matrix + (1 - q) * np.diag(p), (2, 2))
             for side in (0, 1):
-                marg = rho.marginal((side,)).matrix
+                marg = partial_trace(rho, (side,)).matrix
                 assert abs(marg[0, 1]) <= 1e-12  # incoherent marginal
             report = net_global_coherence(rho, Z2)
             assert report.rec_net > 1e-6

@@ -65,6 +65,19 @@ class TestCoherenceCommand:
         path = write_state(tmp_path / "nan_state.json", rho, (2, 2))
         assert main(["coherence", path]) == 3
 
+    def test_infinite_entry_exits_3_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "inf_state.json"
+        path.write_text('{"dim": 1, "entries": [[Infinity, 0]], "dims": [1, 1]}')
+        assert main(["coherence", str(path)]) == 3
+        assert "non-finite entry rho[0, 0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", [True, "1", 1.9, 1.0])
+    def test_non_integer_dim_exits_2(self, tmp_path, capsys, dim):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dim": dim, "entries": [[1, 0]], "dims": [1, 1]}))
+        assert main(["coherence", str(path)]) == 2
+        assert "dim must be an integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "entry", [["a", 0], [1.0], [1.0, 0.0, 0.0], 5, None, [True, 0], [[1], 0]]
     )
@@ -182,6 +195,19 @@ class TestNdqc2Command:
         err = capsys.readouterr().err
         assert "signs" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("qubits", [1.9, True, "1", 1.0])
+    def test_non_integer_qubits_exit_2(self, tmp_path, capsys, qubits):
+        desc = {
+            "task": 2,
+            "shots": 100,
+            "unitary_a": matrix_to_json(np.eye(2)),
+            "unitary_b": {"qubits": qubits, "gates": [{"name": "T", "targets": [0]}]},
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(desc))
+        assert main(["ndqc2", str(path)]) == 2
+        assert "qubits must be an integer" in capsys.readouterr().err
+
     def test_unitary_file_reference(self, tmp_path, capsys):
         upath = tmp_path / "u.json"
         upath.write_text(json.dumps(matrix_to_json(np.eye(2, dtype=complex))))
@@ -226,6 +252,15 @@ class TestVerifyCommand:
         assert main(["verify", "isomorphism", "--ensemble-size", "0.05", "--out", str(out)]) == 0
         payload = json.loads((out / "isomorphism.json").read_text())
         assert payload["passed"] is True and payload["rows"]
+
+    def test_out_writes_manifest(self, tmp_path):
+        out = tmp_path / "verify"
+        argv = ["verify", "lemma1", "--ensemble-size", "0.01", "--seed", "7", "--out", str(out)]
+        assert main(argv + ["--format", "csv"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 7 and manifest["inputs"] == {}
+        assert manifest["tool_version"] and manifest["duration_seconds"] >= 0
+        assert sorted(p.name for p in out.iterdir()) == ["lemma1.csv", "manifest.json"]
 
     @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5", ""])
     def test_bad_worker_count_exits_2(self, monkeypatch, capsys, value):

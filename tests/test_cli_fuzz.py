@@ -60,3 +60,13 @@ def test_coherence_exit_code_is_in_contract(tmp_path_factory, obj):
     path = tmp_path_factory.mktemp("fuzz") / "state.json"
     path.write_text(json.dumps(obj))
     assert main(["coherence", str(path)]) in (0, 2, 3, 4)
+
+
+# A valid 4x4 state whose "dim" is drawn: only the JSON integer 4 parses;
+# booleans, floats such as 4.0 and strings such as "4" exit 2.
+@settings(deadline=None, derandomize=True, database=None, max_examples=100)
+@given(dim=JSON_VALUES | st.sampled_from([4, 4.0, 4.5, "4", True]))
+def test_dim_parses_only_as_an_integer(tmp_path_factory, dim):
+    path = tmp_path_factory.mktemp("fuzz") / "state.json"
+    path.write_text(json.dumps(dict(_maximally_mixed(4), dim=dim)))
+    assert main(["coherence", str(path)]) == (0 if type(dim) is int and dim == 4 else 2)

@@ -6,7 +6,6 @@ import pytest
 from helpers import HADAMARD, SQRT_HALF
 from netcoh.coherence import ProductBasis, dephase, random_product_basis
 from netcoh.incoherent_ops import (
-    ClassicalState,
     KrausChannel,
     StochasticMatrix,
     apply_channel,
@@ -265,15 +264,11 @@ class TestClassicalEmbedding:
             StochasticMatrix(np.array([[0.5, 0.2], [0.4, 0.8]]))
         with pytest.raises(ValueError):
             StochasticMatrix(np.array([[1.1, 0.0], [-0.1, 1.0]]))
-        with pytest.raises(ValueError):
-            ClassicalState(np.array([0.5, 0.6]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_validation_rejects_non_finite_entries(self, bad):
         with pytest.raises(ValueError):
             StochasticMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            ClassicalState(np.array([bad, 0.5]))
 
 
 class TestSandwichDephase:

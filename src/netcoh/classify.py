@@ -102,7 +102,9 @@ def is_cc(
 
     The witness combines the measured-side bases found by the two directional
     minimizations (each returned basis already carries a simultaneous
-    eigenbasis of the conditionals on its unmeasured side).
+    eigenbasis of the conditionals on its unmeasured side).  ``seed`` and
+    ``restarts`` reach only a minimization whose measured side is larger
+    than a qubit; a qubit side is searched deterministically.
     """
     require_bipartite(rho)
     result_ab = minimize_discord(rho, A_TO_B, seed=seed, restarts=restarts)
@@ -178,7 +180,9 @@ def classify(
     """Full hierarchy verdict plus net coherence in the given basis.
 
     The state counts as quantum correlated iff its net global coherence in
-    ``basis`` exceeds 1e-6 bits.
+    ``basis`` exceeds 1e-6 bits.  ``seed`` and ``restarts`` are passed to
+    ``minimize_discord``, which ignores them when the measured side is a
+    qubit, so a two-qubit verdict is the same for every seed.
     """
     require_bipartite(rho)
     result_ab = minimize_discord(rho, A_TO_B, seed=seed, restarts=restarts)

@@ -28,6 +28,7 @@ from .linalg import (
     DensityMatrix,
     InvalidStateError,
     gate_network_from_json,
+    json_int,
     matrix_from_json,
 )
 from .ndqc2 import CapabilityViolationError, run_protocol_detailed
@@ -179,12 +180,12 @@ def cmd_ndqc2(args) -> int:
     desc = _read_json(args.descriptor)
     base_dir = Path(args.descriptor).resolve().parent
     try:
-        task = int(desc["task"])
-        shots = int(desc["shots"])
-        seed = int(desc.get("seed", args.seed))
+        task = json_int(desc["task"], "task")
+        shots = json_int(desc["shots"], "shots")
+        seed = json_int(desc.get("seed", args.seed), "seed")
         u_a = _load_unitary_entry(desc["unitary_a"], base_dir)
         u_b = _load_unitary_entry(desc["unitary_b"], base_dir)
-        signs = tuple(int(s) for s in desc.get("signs", (1, 1)))
+        signs = tuple(json_int(s, "signs entry") for s in desc.get("signs", (1, 1)))
         inject = desc.get("inject_violation")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseFailure(f"malformed run descriptor: {exc}") from exc

@@ -296,6 +296,17 @@ def _measured_side(direction: str) -> int:
     raise ValueError(f"direction must be {A_TO_B!r} or {B_TO_A!r}, got {direction!r}")
 
 
+def _block_kernel(rho_mat: np.ndarray, dims: tuple[int, int], side: int) -> np.ndarray:
+    """rho as a (d_m^2, d_o^2) map from an operator X on the measured side to
+    Tr_m[(X (x) I) rho]: row (a, c) takes X[c, a], so the row vector of X is
+    ``X.T.reshape(-1)``."""
+    d_m, d_o = dims[side], dims[1 - side]
+    t = rho_mat.reshape(dims + dims)
+    if side == 1:
+        t = t.transpose(1, 0, 3, 2)
+    return t.transpose(0, 2, 1, 3).reshape(d_m * d_m, d_o * d_o)
+
+
 def _conditional_blocks(
     rho_mat: np.ndarray, dims: tuple[int, int], side: int, basis_mat: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -305,18 +316,38 @@ def _conditional_blocks(
     with blocks of shape (..., d_measured, d_other, d_other).
     """
     d_m, d_o = dims[side], dims[1 - side]
-    t = rho_mat.reshape(dims + dims)
-    if side == 1:
-        t = t.transpose(1, 0, 3, 2)
     # blocks[..., i, b, d] = sum_ac conj(u[a, i]) u[c, i] t[a, b, c, d]: the
-    # projectors' entries times a (d_m^2, d_o^2) kernel, one gemm for all.
-    kernel = t.transpose(0, 2, 1, 3).reshape(d_m * d_m, d_o * d_o)
+    # projectors' entries times the kernel, one gemm for all.
     projectors = np.einsum("...ai,...ci->...iac", basis_mat.conj(), basis_mat)
-    blocks = (projectors.reshape(-1, d_m * d_m) @ kernel).reshape(
+    blocks = (projectors.reshape(-1, d_m * d_m) @ _block_kernel(rho_mat, dims, side)).reshape(
         projectors.shape[:-2] + (d_o, d_o)
     )
     weights = np.einsum("...bb->...", blocks).real
     return weights, blocks
+
+
+def _discord_from_blocks(
+    weights: np.ndarray, blocks: np.ndarray, mutual_info_value: float, entropy_other: float
+) -> np.ndarray:
+    """I(rho) - I(dephased-on-side rho) from the conditional blocks.
+
+    The one-sided dephased state is block diagonal: its entropy is
+    H(p) + sum_i p_i S(cond_i), its measured-side marginal has spectrum p,
+    and its unmeasured marginal is that of rho (precomputed entropy_other).
+    The mutual information of the dephased state thus collapses to
+    entropy_other - sum_i p_i S(cond_i / p_i).  ``blocks`` has shape
+    (..., outcomes, d_other, d_other) and ``weights`` (..., outcomes); the
+    result has the leading batch shape.  Qubit-sized (2x2) blocks take their
+    spectra in closed form, larger ones from ``np.linalg.eigvalsh``.
+    """
+    spectra = _eigvals_2x2(blocks) if blocks.shape[-1] == 2 else np.linalg.eigvalsh(blocks)
+    lam = np.clip(spectra, 0.0, None)
+    w = weights[..., None]
+    keep = (lam > 0.0) & (w > 1e-15)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(keep, -lam * np.log2(lam / w), 0.0)
+    conditional_term = np.sum(terms, axis=(-2, -1))
+    return mutual_info_value - (entropy_other - conditional_term)
 
 
 def _discord_fixed_entropies(
@@ -327,27 +358,11 @@ def _discord_fixed_entropies(
     mutual_info_value: float,
     entropy_other: float,
 ) -> np.ndarray:
-    """I(rho) - I(dephased-on-side rho) given precomputed constants.
-
-    Uses the block structure of the one-sided dephased state: its entropy is
-    H(p) + sum_i p_i S(cond_i), its measured-side marginal has spectrum p,
-    and its unmeasured marginal is that of rho (precomputed entropy_other).
-    The mutual information of the dephased state thus collapses to
-    entropy_other - sum_i p_i S(cond_i / p_i).  Evaluated for every basis
-    on the leading axes of ``basis_mat`` at once; returns an array of the
-    batch shape (0-d for one basis).  The blocks of all bases and outcomes
-    come from one gemm; qubit-sized (2x2) blocks take their spectra in
-    closed form, larger ones from ``np.linalg.eigvalsh``.
-    """
+    """Basis-dependent discord for every basis on the leading axes of
+    ``basis_mat`` at once; returns an array of the batch shape (0-d for one
+    basis).  The blocks of all bases and outcomes come from one gemm."""
     weights, blocks = _conditional_blocks(rho_mat, dims, side, basis_mat)
-    spectra = _eigvals_2x2(blocks) if blocks.shape[-1] == 2 else np.linalg.eigvalsh(blocks)
-    lam = np.clip(spectra, 0.0, None)
-    w = weights[..., None]
-    keep = (lam > 0.0) & (w > 1e-15)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(keep, -lam * np.log2(lam / w), 0.0)
-    conditional_term = np.sum(terms, axis=(-2, -1))
-    return mutual_info_value - (entropy_other - conditional_term)
+    return _discord_from_blocks(weights, blocks, mutual_info_value, entropy_other)
 
 
 def basis_dependent_discord(rho: DensityMatrix, basis: ProductBasis, direction: str) -> float:
@@ -409,28 +424,40 @@ def minimize_discord(
     """Minimum of the basis-dependent discord over local product bases.
 
     The objective depends only on the measured side's basis, so the search
-    runs over that side: a seed unitary times a product of complex Givens
-    rotations (for a qubit, the measurement's Bloch direction, as in Luo,
-    PRA 77, 042303 (2008)).  Column phases are omitted because dephasing
-    projectors are invariant under them.  Seeds are the marginal eigenbasis
-    (first, so that zero-discord states come back with a
-    marginal-diagonalizing witness), the identity, and ``restarts``
-    Haar-random unitaries on substreams derived from ``seed`` by counter.
+    runs over that side.  Column phases are omitted because dephasing
+    projectors are invariant under them.  The measured marginal's
+    eigenbasis and then the identity are tried first, and the first of
+    them scoring below 1e-10 is returned, so that zero-discord states come
+    back with a marginal-diagonalizing witness.
 
-    All seeds are evaluated in one batch, and the first one below 1e-10 is
-    the result.  Otherwise the seeds descend the rotation angles together,
-    one coordinate at a time: a 17-point grid (the whole period on the first
-    sweep, +-1/8 of it after), zooms into the best point's bracket down to
-    1e-5, one parabolic step, and a move only on strict improvement.  A seed
-    stops when a sweep gains less than 1e-9 or after ``MAX_SWEEPS``; the
-    first seed ending below 1e-10, else the lowest, is the result.
+    A qubit measured side is searched deterministically, and ``seed`` and
+    ``restarts`` have no effect.  Its measurements are the Bloch directions
+    n, with projectors (I +- n.sigma)/2 (Luo, PRA 77, 042303 (2008)), so
+    the conditional blocks (T_0 +- sum_k n_k T_k)/2, with
+    T_k = Tr_m[(sigma_k (x) I) rho], are affine in n.  A fixed grid over the
+    hemisphere is scored in one batch, and its ``_BLOCH_STARTS`` best points
+    are refined by 9x9 zooms in (theta, phi) down to ``_ZOOM_TOL``; a zoom
+    whose best point is on its edge moves without shrinking.  The angles
+    are taken in the principal-axis frame of n -> sum_k n_k T_k.  The
+    lowest point, or the lower of the two first bases if that is no higher,
+    is the result; its basis is the eigenbasis of n.sigma.
+
+    A larger measured side is searched over a seed unitary times a product
+    of complex Givens rotations.  The two first bases are joined by
+    ``restarts`` Haar-random seeds on substreams derived from ``seed`` by
+    counter, built only when neither of them returned, and the seeds
+    descend the rotation angles together, one coordinate at a time: a
+    17-point grid (the whole period on the first sweep, +-1/8 of it after),
+    zooms into the best point's bracket down to 1e-5, one parabolic step,
+    and a move only on strict improvement.  A seed stops when a sweep gains
+    less than 1e-9 or after ``MAX_SWEEPS``; the first seed ending below
+    1e-10, else the lowest, is the result.
 
     The unmeasured side of the returned basis is the eigenbasis of a
     generically weighted mixture of the conditional blocks, which for
     zero-discord states simultaneously diagonalizes them.  For states with
     degenerate marginal or conditional spectra the optimizer reports the
-    best value found; no constructive basis search beyond the restarts is
-    attempted.
+    best value found; no constructive basis search is attempted.
     """
     require_bipartite(rho)
     side = _measured_side(direction)
@@ -441,20 +468,27 @@ def minimize_discord(
     def objective(umat: np.ndarray) -> np.ndarray:
         return _discord_fixed_entropies(rho.matrix, rho.dims, side, umat, mi, ent_other)
 
-    # Marginal eigenbasis first: for zero-discord states every basis may
-    # reach the floor, and this seed is the one that also diagonalizes the
-    # measured marginal (what witness construction downstream wants).
+    # For zero-discord states every basis may reach the floor, and this one
+    # also diagonalizes the measured marginal (what witnesses downstream want).
     _, marginal_basis = hermitian_eig(partial_trace(rho, (side,)).matrix)
-    seeds = np.stack(
-        [marginal_basis, np.eye(d_m, dtype=complex)]
-        + [haar_unitary(d_m, substream(seed, 0x5EED, r)) for r in range(restarts)]
-    )
-    angles = np.zeros((len(seeds), d_m * (d_m - 1)))  # (theta, phi) per index pair
-    values = objective(seeds)
+    first = np.stack([marginal_basis, np.eye(d_m, dtype=complex)])
+    values = objective(first)
+    if np.any(values < 1e-10):
+        best = int(np.argmax(values < 1e-10))
+        return _discord_result(rho, side, float(values[best]), first[best])
+    if d_m == 2:
+        best_val, best_u = _minimize_bloch(rho, side, mi, ent_other)
+        best = int(np.argmin(values))
+        if values[best] <= best_val:
+            best_val, best_u = float(values[best]), first[best]
+        return _discord_result(rho, side, best_val, best_u)
 
-    # Theta flips the sign of a 2x2 block under a pi shift, which leaves the
-    # basis projectors unchanged only when the block is the whole matrix.
-    theta_period = math.pi if d_m == 2 else 2.0 * math.pi
+    seeds = np.concatenate(
+        [first] + [haar_unitary(d_m, substream(seed, 0x5EED, r))[None] for r in range(restarts)]
+    )
+    values = np.concatenate([values, objective(seeds[2:])])
+    angles = np.zeros((len(seeds), d_m * (d_m - 1)))  # (theta, phi) per index pair
+
     active = np.arange(len(seeds)) if np.all(values >= 1e-10) else np.arange(0)
     for sweep in range(MAX_SWEEPS):
         if active.size == 0:
@@ -462,10 +496,9 @@ def minimize_discord(
         previous = values[active]
         rows = np.arange(active.size)
         for k in range(angles.shape[1]):
-            period = theta_period if k % 2 == 0 else 2.0 * math.pi
             # A coarse scan of the whole period on the first sweep guards
             # against multimodal coordinates.
-            half = period / 2 if sweep == 0 else period / 8
+            half = math.pi if sweep == 0 else math.pi / 4
             trial = np.repeat(angles[active, None, :], 17, axis=1)
             best_x = angles[active, k]
             # Zoom into the best point's bracket, 2 * half wide after the
@@ -494,15 +527,110 @@ def minimize_discord(
 
     below = np.flatnonzero(values < 1e-10)
     best = int(below[0]) if below.size else int(np.argmin(values))
-    best_val = float(values[best])
-    best_u = _basis_from_angles(seeds[best], angles[best])
+    return _discord_result(
+        rho, side, float(values[best]), _basis_from_angles(seeds[best], angles[best])
+    )
 
-    # Unmeasured-side witness basis: eigenbasis of a generic mixture of the
-    # conditional blocks (distinct weights break accidental degeneracy).
-    _, blocks = _conditional_blocks(rho.matrix, rho.dims, side, best_u)
+
+# Pauli matrices sigma_x, sigma_y, sigma_z, and the rows of I and of each of
+# them for ``_block_kernel``.
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+_PAULI_ROWS = np.concatenate([np.eye(2)[None], _PAULI]).transpose(0, 2, 1).reshape(4, 4)
+
+# Bloch-direction grid over the upper hemisphere (n and -n give the same
+# measurement): the pole once, 16 polar rings of 32 azimuths, and on the
+# equator, where n and -n are both present, only the first half.
+_GRID_STEPS = np.array([math.pi / 32, math.pi / 16])  # (theta, phi) spacing
+_GRID_ANGLES = np.concatenate(
+    [
+        np.zeros((1, 2)),
+        np.array([(i, j) for i in range(1, 17) for j in range(32) if i < 16 or j < 16])
+        * _GRID_STEPS,
+    ]
+)
+# The best grid points are refined, each by 9x9 zooms that shrink 4x a
+# round until both half-widths are below ``_ZOOM_TOL``; a start still moving
+# after ``_ZOOM_ROUNDS`` keeps its best point (13-16 rounds are typical).
+_BLOCH_STARTS = 4
+_ZOOM_TOL = 1e-8
+_ZOOM_ROUNDS = 100
+# Offsets in units of the zoom's half-widths, nearest the centre first, so
+# that ties at the rounding floor keep the centre instead of drifting.
+_ZOOM = (
+    np.array(
+        sorted(
+            ((i, j) for j in range(-4, 5) for i in range(-4, 5)),
+            key=lambda o: o[0] ** 2 + o[1] ** 2,
+        )
+    )
+    / 4
+)
+
+
+def _bloch_vectors(angles: np.ndarray) -> np.ndarray:
+    """Unit vectors for (theta, phi) pairs on the last axis."""
+    theta, phi = angles[..., 0], angles[..., 1]
+    return np.stack(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
+    )
+
+
+def _minimize_bloch(
+    rho: DensityMatrix, side: int, mi: float, ent_other: float
+) -> tuple[float, np.ndarray]:
+    """Lowest discord over qubit measurements (grid, then multi-start zooms)
+    and the eigenbasis of n.sigma at its Bloch direction n."""
+    t = _PAULI_ROWS @ _block_kernel(rho.matrix, rho.dims, side)  # rows T_0 .. T_3
+    d_o = rho.dims[1 - side]
+    # Angles are taken in the principal-axis frame of n -> sum_k n_k T_k
+    # (eigenvectors of the Gram matrix Re Tr(T_k T_l)), the largest axis
+    # along x and the smallest along z.  A Bell-diagonal state with two
+    # near-equal correlations then has its flat valley on the equator, along
+    # a grid line, and its minimum on a grid point.  The Gram matrix is real,
+    # so its eigenvectors come back real.
+    _, axes = hermitian_eig((t[1:] @ t[1:].conj().T).real)
+    frame = axes[:, ::-1].real
+    t_frame = frame.T @ t[1:]
+
+    def objective(angles: np.ndarray) -> np.ndarray:
+        shift = _bloch_vectors(angles) @ t_frame
+        blocks = (np.stack([t[0] - shift, t[0] + shift], axis=-2) / 2).reshape(
+            shift.shape[:-1] + (2, d_o, d_o)
+        )
+        weights = np.einsum("...bb->...", blocks).real
+        return _discord_from_blocks(weights, blocks, mi, ent_other)
+
+    grid_vals = objective(_GRID_ANGLES)
+    order = np.argsort(grid_vals, kind="stable")[:_BLOCH_STARTS]
+    centres, vals = _GRID_ANGLES[order], grid_vals[order]
+    steps = np.tile(_GRID_STEPS, (len(centres), 1))
+    rows = np.arange(len(centres))
+    # A zoom whose best point lies on its edge may have cut the minimum off
+    # (a flat, tilted valley), so it moves on without shrinking.  The zoom
+    # grid holds its centre, so no round moves a start uphill.
+    for _ in range(_ZOOM_ROUNDS):
+        if steps.max() < _ZOOM_TOL:
+            break
+        trial = centres[:, None, :] + _ZOOM * steps[:, None, :]
+        trial_vals = objective(trial)
+        j = np.argmin(trial_vals, axis=1)
+        centres, vals = trial[rows, j], trial_vals[rows, j]
+        steps[np.abs(_ZOOM[j]).max(axis=1) < 1.0] /= 4
+    best = int(np.argmin(vals))
+    _, basis = hermitian_eig(np.tensordot(frame @ _bloch_vectors(centres[best]), _PAULI, 1))
+    return float(vals[best]), basis
+
+
+def _discord_result(
+    rho: DensityMatrix, side: int, value: float, measured_basis: np.ndarray
+) -> tuple[float, ProductBasis]:
+    """The minimum with its product basis: the measured side's basis and, on
+    the unmeasured side, the eigenbasis of a generic mixture of the
+    conditional blocks (distinct weights break accidental degeneracy)."""
+    _, blocks = _conditional_blocks(rho.matrix, rho.dims, side, measured_basis)
     mix_weights = 1.0 + 0.37 * np.arange(len(blocks))
     generic = sum(w * b for w, b in zip(mix_weights, blocks))
     generic = generic / max(np.trace(generic).real, 1e-12)
     _, other_basis = hermitian_eig(generic)
-    pair = (best_u, other_basis) if side == 0 else (other_basis, best_u)
-    return max(best_val, 0.0) if best_val > -1e-9 else best_val, ProductBasis(pair, rho.dims)
+    pair = (measured_basis, other_basis) if side == 0 else (other_basis, measured_basis)
+    return max(value, 0.0) if value > -1e-9 else value, ProductBasis(pair, rho.dims)

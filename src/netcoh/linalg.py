@@ -409,11 +409,17 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"dim": a.shape[0], "entries": [[float(z.real), float(z.imag)] for z in flat]}
 
 
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer (booleans excluded), else a
+    ``ValueError`` naming ``name``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        d = obj["dim"]
-        if type(d) is not int:
-            raise ValueError(f"dim must be an integer, got {d!r}")
+        d = json_int(obj["dim"], "dim")
         entries = obj["entries"]
         if len(entries) != d * d:
             raise ValueError(f"matrix of dim {d} needs {d * d} entries, got {len(entries)}")
@@ -434,10 +440,11 @@ def gate_network_to_json(network: GateNetwork) -> dict:
 
 def gate_network_from_json(obj: dict) -> GateNetwork:
     try:
-        n = obj["qubits"]
-        if type(n) is not int:
-            raise ValueError(f"qubits must be an integer, got {n!r}")
-        gates = tuple((g["name"], tuple(g["targets"])) for g in obj["gates"])
+        n = json_int(obj["qubits"], "qubits")
+        gates = tuple(
+            (g["name"], tuple(json_int(t, "gate target") for t in g["targets"]))
+            for g in obj["gates"]
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed gate-network object: {exc}") from exc
     return GateNetwork(n, gates)

@@ -208,6 +208,31 @@ class TestNdqc2Command:
         assert main(["ndqc2", str(path)]) == 2
         assert "qubits must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [True, "4000", 4000.9, 1.5, 0.7, 1.0])
+    @pytest.mark.parametrize("field", ["task", "shots", "seed", "signs", "targets"])
+    def test_non_integer_descriptor_entries_exit_2(self, tmp_path, capsys, field, value):
+        desc = {
+            "task": 1,
+            "shots": 100,
+            "seed": 1,
+            "signs": [1, -1],
+            "unitary_a": matrix_to_json(np.eye(2)),
+            "unitary_b": {"qubits": 1, "gates": [{"name": "T", "targets": [0]}]},
+        }
+        if field == "signs":
+            desc["signs"] = [value, 1]
+        elif field == "targets":
+            desc["unitary_b"]["gates"][0]["targets"] = [value]
+        else:
+            desc[field] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(desc))
+        assert main(["ndqc2", str(path)]) == 2
+        err = capsys.readouterr().err
+        name = {"targets": "gate target", "signs": "signs entry"}.get(field, field)
+        assert f"{name} must be an integer" in err
+        assert "Traceback" not in err
+
     def test_unitary_file_reference(self, tmp_path, capsys):
         upath = tmp_path / "u.json"
         upath.write_text(json.dumps(matrix_to_json(np.eye(2, dtype=complex))))
@@ -334,8 +359,9 @@ GOLDEN_CLASSIFY_CC = (
     '{"discord_a_to_b":0.0,"discord_b_to_a":0.0,"is_cc":true,"is_ppt":true,'
     '"is_product":false,"is_qc_a_to_b":true,"is_qc_b_to_a":true,'
     '"quantum_correlated":true,"rec_net_in_basis":0.124511249784,'
-    '"witness_basis":[{"dim":2,"entries":[[0.2955202065641234,0.0],'
-    '[0.9553364891556785,0.0],[-0.9553364891556785,0.0],[0.2955202065641234,0.0]]},'
+    '"witness_basis":[{"dim":2,"entries":[[-0.9553364891256061,0.0],'
+    '[0.2955202066613396,0.0],[-0.2955202066613396,-3.204752495814957e-17],'
+    '[-0.9553364891256061,-1.0360093587024787e-16]]},'
     '{"dim":2,"entries":[[-0.7071067811865475,0.0],[-0.7071067811865475,0.0],[0.0,'
     '0.7071067811865475],[0.0,-0.7071067811865475]]}]}'
 )

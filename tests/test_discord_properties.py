@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import werner
+from netcoh import coherence
+from netcoh.classify import classify
 from netcoh.coherence import (
     A_TO_B,
     B_TO_A,
@@ -109,3 +111,151 @@ def test_minimum_matches_reference(dims, direction, index, expected):
     rho = random_density_matrix(dims, substream(91, dims[0], dims[1], index))
     value, _ = minimize_discord(rho, direction, seed=11, restarts=4)
     assert abs(value - expected) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Qubit measured side: the deterministic Bloch-sphere search
+
+PAULI = [
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.diag([1.0, -1.0]).astype(complex),
+]
+
+
+def _bell_diagonal(c, gen):
+    """(I + sum_i c_i s_i (x) s_i)/4 under Haar local unitaries from ``gen``,
+    and its one-way discord by the closed form (Luo, PRA 77, 042303 (2008)):
+    every projective measurement on one side leaves conditional states of
+    Bloch length at most c = max_i |c_i|, reached along that axis, so
+    J = [(1 - c) log2(1 - c) + (1 + c) log2(1 + c)] / 2 and D = I - J, with
+    I = 2 + sum_k lam_k log2 lam_k over the Bell-basis weights lam_k."""
+    mat = (np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, PAULI))) / 4
+    local = np.kron(haar_unitary(2, gen), haar_unitary(2, gen))
+    rho = DensityMatrix(local @ mat @ local.conj().T, (2, 2))
+    c1, c2, c3 = c
+    lam = [
+        (1 - c1 - c2 - c3) / 4,
+        (1 - c1 + c2 + c3) / 4,
+        (1 + c1 - c2 + c3) / 4,
+        (1 + c1 + c2 - c3) / 4,
+    ]
+    mutual = 2.0 + sum(x * np.log2(x) for x in lam if x > 0.0)
+    c_max = max(abs(ci) for ci in c)
+    classical = sum((1 + s * c_max) * np.log2(1 + s * c_max) for s in (-1, 1) if 1 + s * c_max > 0)
+    return rho, mutual - classical / 2
+
+
+@settings(PROPERTY, max_examples=30)
+@given(
+    weights=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0.1),
+    seed=SEEDS,
+)
+def test_bell_diagonal_discord_matches_closed_form(weights, seed):
+    # Bell-basis weights lam_k drawn directly, so every c is a valid state.
+    lam = np.array(weights) / sum(weights)
+    c = (
+        lam[2] + lam[3] - lam[0] - lam[1],
+        lam[1] + lam[3] - lam[0] - lam[2],
+        lam[1] + lam[2] - lam[0] - lam[3],
+    )
+    rho, expected = _bell_diagonal(c, substream(seed, 4))
+    for direction in (A_TO_B, B_TO_A):
+        value, _ = minimize_discord(rho, direction)
+        assert abs(value - expected) <= 1e-9
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_bell_diagonal_near_tie_matches_closed_form(index):
+    # |c_2| and |c_3| differ by 2e-4: a flat valley along a great circle with
+    # the minimum at one end of it, in a direction set by the local unitaries.
+    rho, expected = _bell_diagonal((0.03, 0.4278, -0.428), substream(96, index))
+    for direction in (A_TO_B, B_TO_A):
+        value, _ = minimize_discord(rho, direction)
+        assert abs(value - expected) <= 1e-9
+
+
+# Minima on Hilbert-Schmidt two-qubit states substream(92, 2, 2, i) at seed=11
+# and the default 32 restarts, as found by the Givens-angle search over Haar
+# seeds that the Bloch search replaced for a qubit measured side.  These are
+# upper bounds: the deterministic search may only match or undercut them.
+REFERENCE_QUBIT_MINIMA = [
+    (A_TO_B, 0, 0.05895004460004971),
+    (B_TO_A, 0, 0.03719870439109374),
+    (A_TO_B, 1, 0.18174471631415634),
+    (B_TO_A, 1, 0.14908072185539573),
+    (A_TO_B, 2, 0.17369575497813639),
+    (B_TO_A, 2, 0.17718457904300045),
+]
+
+
+@pytest.mark.parametrize("direction, index, expected", REFERENCE_QUBIT_MINIMA)
+def test_qubit_minimum_no_higher_than_reference(direction, index, expected):
+    rho = random_density_matrix((2, 2), substream(92, 2, 2, index))
+    value, _ = minimize_discord(rho, direction)
+    assert value <= expected + 1e-9
+
+
+@pytest.mark.parametrize(
+    "direction, expected", [(A_TO_B, 0.24733298309287333), (B_TO_A, 0.25014280388788734)]
+)
+def test_qubit_minimum_in_flat_tilted_valley(direction, expected):
+    # Two correlations equal to within 1e-4, plus local Bloch vectors: the B -> A
+    # landscape has a long, nearly flat valley that does not follow the
+    # search's coordinate lines.  The minima come from a dense 181 x 361
+    # (theta, phi) grid over the sphere with zooms from its 40 best points.
+    c, a, b = (-0.05, -0.5056, 0.5057), (-0.25, 0.0, 0.04), (0.33, 0.05, 0.13)
+    eye = np.eye(2)
+    mat = np.eye(4) + sum(
+        ci * np.kron(s, s) + ai * np.kron(s, eye) + bi * np.kron(eye, s)
+        for ci, ai, bi, s in zip(c, a, b, PAULI)
+    )
+    rho = DensityMatrix(0.9 * mat / 4 + 0.1 * np.eye(4) / 4, (2, 2))
+    value, _ = minimize_discord(rho, direction)
+    assert abs(value - expected) <= 1e-9
+
+
+@pytest.mark.parametrize("dims, direction", [((2, 2), A_TO_B), ((2, 2), B_TO_A), ((2, 3), A_TO_B)])
+def test_qubit_search_ignores_seed_and_restarts(dims, direction):
+    rho = random_density_matrix(dims, substream(93, dims[0], dims[1]))
+    runs = [
+        minimize_discord(rho, direction, seed=seed, restarts=restarts)
+        for seed, restarts in ((0, 32), (12345, 0), (7, 3))
+    ]
+    for value, basis in runs[1:]:
+        assert value == runs[0][0]
+        for mat, ref in zip(basis.local_bases, runs[0][1].local_bases):
+            assert np.array_equal(mat, ref)
+
+
+def _count_haar_calls(monkeypatch) -> list:
+    calls = []
+
+    def counting(dim, gen):
+        calls.append(dim)
+        return haar_unitary(dim, gen)
+
+    monkeypatch.setattr(coherence, "haar_unitary", counting)
+    return calls
+
+
+def test_two_qubit_classify_builds_no_haar_seed(monkeypatch):
+    calls = _count_haar_calls(monkeypatch)
+    basis = ProductBasis.computational((2, 2))
+    for index in range(3):
+        classify(random_density_matrix((2, 2), substream(94, index)), basis)
+    classify(werner(0.6), basis)
+    assert calls == []
+
+
+def test_qutrit_haar_seeds_built_only_when_first_batch_fails(monkeypatch):
+    calls = _count_haar_calls(monkeypatch)
+    # A classical-quantum state on a qutrit: the marginal eigenbasis returns.
+    cq = sum(
+        np.kron(np.diag(np.eye(3)[i]) * p, np.eye(2) / 2) for i, p in enumerate((0.5, 0.3, 0.2))
+    )
+    value, _ = minimize_discord(DensityMatrix(cq, (3, 2)), A_TO_B, restarts=5)
+    assert value < 1e-10 and calls == []
+    rho = random_density_matrix((3, 2), substream(91, 3, 2, 0))
+    minimize_discord(rho, A_TO_B, seed=11, restarts=5)
+    assert calls == [3] * 5

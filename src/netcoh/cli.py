@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -256,7 +257,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(result.passed for result in results) else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="netcoh",
         description="Coherence measures, correlation classification, and the "

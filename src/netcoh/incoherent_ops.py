@@ -8,12 +8,21 @@ All structural checks are relative to a ProductBasis: Kraus operators are
 expressed in that basis frame before testing sparsity patterns.  Entries of
 magnitude at most 1e-10 are treated as structural zeros, matching the
 package-wide identity tolerance.
+
+The checks are array code.  A channel's K operators go into the basis frame
+as one (K, d, d) stack, and the sparsity tests take one support mask over
+the whole stack; each witness is the first hit in operator, then column (or
+row) order, found by ``argmax`` over the flattened mask.  The matrix-unit
+test still visits one operator at a time, so it can stop at the first that
+fails: for F it forms the d x d x d products F_ak conj(F_bl) with a = b and
+with k = l, which bounds its working memory at O(d^3) per operator, not
+O(K d^3) per channel.  Kraus sets from ``embed_classical`` and
+``sandwich_dephase`` are built as one stack of basis outer products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -86,15 +95,12 @@ def compose_channels(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
     return KrausChannel(tuple(f @ g for f in outer.kraus for g in inner.kraus))
 
 
-def _check_channel_basis(channel: KrausChannel, basis: ProductBasis) -> np.ndarray:
+def _in_frame(channel: KrausChannel, basis: ProductBasis) -> np.ndarray:
+    """The Kraus operators in the basis frame, as one (K, d, d) stack."""
     if channel.dim != basis.dim:
         raise DimensionMismatchError(f"channel dim {channel.dim} != basis dim {basis.dim}")
-    return basis.matrix
-
-
-def _in_frame(channel: KrausChannel, basis: ProductBasis) -> list[np.ndarray]:
-    b = _check_channel_basis(channel, basis)
-    return [b.conj().T @ f @ b for f in channel.kraus]
+    b = basis.matrix
+    return b.conj().T @ np.stack(channel.kraus) @ b
 
 
 @dataclass(frozen=True)
@@ -124,45 +130,45 @@ def is_incoherent(
     operator in the basis frame.  On failure the witness names the first
     offending (kraus, column) with its non-zero rows.
     """
-    for i, f in enumerate(_in_frame(channel, basis)):
-        support = np.abs(f) > STRUCTURAL_ZERO
-        counts = support.sum(axis=0)
-        bad = np.nonzero(counts > 1)[0]
-        if bad.size:
-            col = int(bad[0])
-            rows = tuple(int(r) for r in np.nonzero(support[:, col])[0])
-            return False, ColumnWitness(i, col, rows)
-    return True, None
+    support = np.abs(_in_frame(channel, basis)) > STRUCTURAL_ZERO
+    bad = support.sum(axis=1) > 1  # (K, d): columns with several non-zero rows
+    if not bad.any():
+        return True, None
+    i, col = np.unravel_index(np.argmax(bad), bad.shape)
+    rows = tuple(int(r) for r in np.nonzero(support[i, :, col])[0])
+    return False, ColumnWitness(int(i), int(col), rows)
 
 
-def _sparsity_strict(frames: Sequence[np.ndarray]) -> tuple[bool, StrictnessWitness | None]:
-    for i, f in enumerate(frames):
-        support = np.abs(f) > STRUCTURAL_ZERO
-        col_bad = np.nonzero(support.sum(axis=0) > 1)[0]
-        if col_bad.size:
-            col = int(col_bad[0])
-            rows = np.nonzero(support[:, col])[0]
-            return False, StrictnessWitness(i, int(rows[0]), col)
-        row_bad = np.nonzero(support.sum(axis=1) > 1)[0]
-        if row_bad.size:
-            row = int(row_bad[0])
-            cols = np.nonzero(support[row, :])[0]
-            return False, StrictnessWitness(i, row, int(cols[0]))
-    return True, None
+def _sparsity_strict(frames: np.ndarray) -> tuple[bool, StrictnessWitness | None]:
+    # Per operator, a bad column is reported before a bad row.
+    support = np.abs(frames) > STRUCTURAL_ZERO
+    d = frames.shape[-1]
+    bad = np.concatenate((support.sum(axis=1) > 1, support.sum(axis=2) > 1), axis=1)
+    if not bad.any():
+        return True, None
+    i, j = np.unravel_index(np.argmax(bad), bad.shape)
+    if j < d:
+        row = np.nonzero(support[i, :, j])[0][0]
+        return False, StrictnessWitness(int(i), int(row), int(j))
+    col = np.nonzero(support[i, j - d, :])[0][0]
+    return False, StrictnessWitness(int(i), int(j - d), int(col))
 
 
-def _matrix_unit_strict(frames: Sequence[np.ndarray]) -> tuple[bool, StrictnessWitness | None]:
+def _matrix_unit_strict(frames: np.ndarray) -> tuple[bool, StrictnessWitness | None]:
     # Definitional check: dephasing commutes with each Kraus operator on
-    # every matrix unit |k><l|.
-    for i, f in enumerate(frames):
-        d = f.shape[0]
-        for k in range(d):
-            for l in range(d):
-                pushed = np.outer(f[:, k], f[:, l].conj())
-                lhs = np.diag(np.diagonal(pushed))
-                rhs = pushed if k == l else np.zeros_like(pushed)
-                if float(np.max(np.abs(lhs - rhs))) > STRUCTURAL_ZERO:
-                    return False, StrictnessWitness(i, k, l)
+    # every matrix unit |k><l|.  F|k><l|F^dag has entries F_ak conj(F_bl);
+    # the commutator keeps its diagonal (a = b) when k != l and its
+    # off-diagonal (a != b) when k = l.
+    diag = np.arange(frames.shape[-1])
+    for i, (f, fc) in enumerate(zip(frames, frames.conj())):
+        gap = np.abs(f[:, :, None] * fc[:, None, :]).max(axis=0)  # [k, l], a = b
+        same = np.abs(f[:, None, :] * fc[None, :, :])  # [a, b, k], k = l
+        same[diag, diag] = 0.0
+        gap[diag, diag] = same.max(axis=(0, 1))
+        above = gap > STRUCTURAL_ZERO
+        if above.any():
+            k, l = np.unravel_index(np.argmax(above), above.shape)
+            return False, StrictnessWitness(i, int(k), int(l))
     return True, None
 
 
@@ -230,6 +236,11 @@ class StochasticMatrix:
         return self.matrix.shape[0]
 
 
+def _basis_units(b: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Stack of |b_r><b_c| over paired index arrays, each entry as np.outer forms it."""
+    return b[:, rows].T[:, :, None] * b[:, cols].conj().T[:, None, :]
+
+
 def embed_classical(g: StochasticMatrix, basis: ProductBasis) -> KrausChannel:
     """Quantum channel realizing a stochastic map on basis-diagonal states.
 
@@ -238,14 +249,9 @@ def embed_classical(g: StochasticMatrix, basis: ProductBasis) -> KrausChannel:
     """
     if g.dim != basis.dim:
         raise DimensionMismatchError(f"stochastic dim {g.dim} != basis dim {basis.dim}")
-    b = basis.matrix
-    kraus = []
-    for i in range(g.dim):
-        for j in range(g.dim):
-            w = g.matrix[i, j]
-            if w > 0.0:
-                kraus.append(np.sqrt(w) * np.outer(b[:, i], b[:, j].conj()))
-    return KrausChannel(tuple(kraus))
+    rows, cols = np.nonzero(g.matrix > 0.0)
+    weights = np.sqrt(g.matrix[rows, cols])[:, None, None]
+    return KrausChannel(tuple(weights * _basis_units(basis.matrix, rows, cols)))
 
 
 def extract_classical(channel: KrausChannel, basis: ProductBasis) -> StochasticMatrix:
@@ -257,11 +263,7 @@ def extract_classical(channel: KrausChannel, basis: ProductBasis) -> StochasticM
     ok, witness = is_strict_incoherent(channel, basis)
     if not ok:
         raise ValueError(f"channel is not strict incoherent (witness {witness})")
-    frames = _in_frame(channel, basis)
-    d = channel.dim
-    g = np.zeros((d, d))
-    for f in frames:
-        g += np.abs(f) ** 2
+    g = (np.abs(_in_frame(channel, basis)) ** 2).sum(axis=0)
     # Zero any structural dust so columns sum to exactly 1 within 1e-12.
     g[g < STRUCTURAL_ZERO**2] = 0.0
     g = g / g.sum(axis=0, keepdims=True)
@@ -282,17 +284,10 @@ def sandwich_dephase(inner: KrausChannel, basis: ProductBasis) -> KrausChannel:
     map decomposes into a short product of permutation generators is a
     question about descriptions, not matrices, and is not asserted here.
     """
-    b = _check_channel_basis(inner, basis)
     frames = _in_frame(inner, basis)
-    d = inner.dim
-    kraus = []
-    for f in frames:
-        for k in range(d):
-            for j in range(d):
-                c = f[k, j]
-                if abs(c) > PRUNE_NORM:
-                    kraus.append(c * np.outer(b[:, k], b[:, j].conj()))
-    return KrausChannel(tuple(kraus))
+    i, rows, cols = np.nonzero(np.abs(frames) > PRUNE_NORM)
+    coeffs = frames[i, rows, cols][:, None, None]
+    return KrausChannel(tuple(coeffs * _basis_units(basis.matrix, rows, cols)))
 
 
 def channel_to_json(channel: KrausChannel) -> list[dict]:

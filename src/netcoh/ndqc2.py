@@ -84,10 +84,13 @@ def controlled_unitary(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _normalized_trace(m: np.ndarray) -> complex:
+    return complex(np.trace(m)) / m.shape[0]
+
+
 def iota_factor(u: np.ndarray | GateNetwork) -> complex:
     """Normalized trace Tr(U) / dim(U)."""
-    m = resolve_unitary(u)
-    return complex(np.trace(m)) / m.shape[0]
+    return _normalized_trace(resolve_unitary(u))
 
 
 def exact_iota(u_a: np.ndarray | GateNetwork, u_b: np.ndarray | GateNetwork) -> complex:
@@ -125,12 +128,13 @@ def _factor_map(iota_x: complex) -> np.ndarray:
     return np.array([[1.0, np.conj(iota_x)], [iota_x, 1.0]])
 
 
-def control_output_closed_form(
-    task: int, u_a: np.ndarray, u_b: np.ndarray, signs: tuple[int, int] = (1, 1)
+def _closed_form_output(
+    task: int, iota_a: complex, iota_b: complex, signs: tuple[int, int]
 ) -> DensityMatrix:
-    """Joint control state after both servers acted, by the entrywise law."""
+    """Joint control state after the servers acted, by the entrywise law,
+    from the two normalized traces."""
     rho_in = task_control_input(task, signs)
-    factors = tensor(_factor_map(iota_factor(u_a)), _factor_map(iota_factor(u_b)))
+    factors = tensor(_factor_map(iota_a), _factor_map(iota_b))
     return DensityMatrix(rho_in.matrix * factors, (2, 2))
 
 
@@ -172,7 +176,7 @@ def control_output_state(
     _require_task(task)
     u_a = resolve_unitary(u_a)
     u_b = resolve_unitary(u_b)
-    out = control_output_closed_form(task, u_a, u_b, signs)
+    out = _closed_form_output(task, _normalized_trace(u_a), _normalized_trace(u_b), signs)
     joint_dim = 4 * u_a.shape[0] * u_b.shape[0]
     run_dense = dense_check is True or (dense_check == "auto" and joint_dim <= DENSE_CHECK_AUTO_LIMIT)
     if run_dense:
@@ -342,10 +346,18 @@ def simulate_measurements(
     setting draws from its own counter-derived substream, so the record for
     a (seed, task, setting) triple does not depend on evaluation order.
     """
+    _check_run(task, shots)
+    rho = control_output_state(task, u_a, u_b, signs, dense_check=False)
+    return _sample_record(task, rho, shots, seed)
+
+
+def _check_run(task: int, shots: int) -> None:
     _require_task(task)
     if shots < 4:
         raise ValueError("need at least one shot per setting (shots >= 4)")
-    rho = control_output_state(task, u_a, u_b, signs, dense_check=False)
+
+
+def _sample_record(task: int, rho: DensityMatrix, shots: int, seed: int) -> MeasurementRecord:
     settings = TASK1_SETTINGS if task == 1 else TASK2_SETTINGS
     counts = _split_shots(shots, len(settings))
     records = []
@@ -511,17 +523,23 @@ def sample_run_with_record(
     seed: int,
     signs: tuple[int, int] = (1, 1),
 ) -> tuple[EstimateReport, MeasurementRecord]:
-    u_a = resolve_unitary(u_a)
-    u_b = resolve_unitary(u_b)
-    record = simulate_measurements(task, u_a, u_b, shots, seed, signs)
+    """``sample_run`` plus the measurement record it estimated from.
+
+    Each server's unitary is resolved (and checked unitary) once; the run
+    then works from the two normalized traces.
+    """
+    iota_a, iota_b = iota_factor(u_a), iota_factor(u_b)
+    _check_run(task, shots)
+    rho = _closed_form_output(task, iota_a, iota_b, signs)
+    record = _sample_record(task, rho, shots, seed)
     iota_est, se_empirical = estimate_from_record(record, signs)
     rec_control, rec_net = control_coherence_figures(task, signs)
     report = EstimateReport(
         task=task,
         shots=shots,
-        iota_exact=exact_iota(u_a, u_b),
+        iota_exact=iota_a * iota_b,
         iota_est=iota_est,
-        se_predicted=predicted_se(iota_factor(u_a), iota_factor(u_b), shots, rec_control),
+        se_predicted=predicted_se(iota_a, iota_b, shots, rec_control),
         se_empirical=se_empirical,
         rec_control=rec_control,
         rec_net=rec_net,

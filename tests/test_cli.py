@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -374,6 +375,13 @@ GOLDEN_NDQC2 = (
 )
 
 
+# SHA-256 of the ``--format json --out`` report of each verify sweep at seed 7.
+GOLDEN_VERIFY_SHA256 = {
+    ("lemma1", "0.1"): "4fb553bf15173e4af3ef2012e0b094909f6436d3b34aadbeded5580862b791ad",
+    ("isomorphism", "0.2"): "1579ae4c1d7e6c54b25deb22d45d0e1cd370572e685bbea8bc677b133762d9f2",
+}
+
+
 class TestGoldenBytes:
     """Exact stdout bytes for fixed inputs: any change to a report's digits,
     key order or witness basis shows here.  The witness basis holds LAPACK
@@ -400,6 +408,13 @@ class TestGoldenBytes:
         assert main(["ndqc2", str(path)]) == 0
         assert capsys.readouterr().out == GOLDEN_NDQC2 + "\n"
 
+    @pytest.mark.parametrize("suite, size", sorted(GOLDEN_VERIFY_SHA256))
+    def test_verify_report(self, tmp_path, suite, size):
+        argv = ["verify", suite, "--ensemble-size", size, "--seed", "7"]
+        assert main(argv + ["--format", "json", "--out", str(tmp_path)]) == 0
+        report = (tmp_path / f"{suite}.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == GOLDEN_VERIFY_SHA256[suite, size]
+
 
 class TestDeterminism:
     def test_repeated_reports_identical(self, control_state_file, capsys):
@@ -408,6 +423,28 @@ class TestDeterminism:
         main(["coherence", control_state_file])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_one_process_matches_one_call_per_process(self, tmp_path, capsys):
+        # main reuses one parser per process; a call must not see the last one.
+        state = write_state(tmp_path / "bell.json", bell_state(), (2, 2))
+        calls = [
+            ["coherence", state],
+            ["coherence", state, "--no-such-flag"],
+            ["classify", state, "--seed", "3"],
+            ["verify", "lemma1", "--ensemble-size", "0.01", "--seed", "5"],
+        ]
+        in_process = []
+        for argv in calls:
+            code = main(argv)
+            in_process.append((code, capsys.readouterr().out))
+        one_per_process = []
+        for argv in calls:
+            proc = subprocess.run(
+                [sys.executable, "-m", "netcoh.cli", *argv], capture_output=True, text=True
+            )
+            one_per_process.append((proc.returncode, proc.stdout))
+        assert [code for code, _ in in_process] == [0, 2, 0, 0]
+        assert in_process == one_per_process
 
     def test_canonical_dumps_sorts_keys(self):
         assert canonical_dumps({"b": 1, "a": 2}) == '{"a":2,"b":1}'

@@ -2,10 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import HADAMARD, SQRT_HALF
+from netcoh import incoherent_ops
 from netcoh.coherence import ProductBasis, dephase, random_product_basis
 from netcoh.incoherent_ops import (
+    STRUCTURAL_ZERO,
+    ColumnWitness,
     KrausChannel,
     StochasticMatrix,
     apply_channel,
@@ -16,11 +21,13 @@ from netcoh.incoherent_ops import (
     extract_classical,
     is_incoherent,
     is_strict_incoherent,
+    StrictnessWitness,
     sandwich_dephase,
     usi_generators,
 )
 from netcoh.linalg import DensityMatrix, random_density_matrix
 from netcoh.rng import haar_unitary, substream
+from netcoh.verify import _random_incoherent_channel
 
 Z1 = ProductBasis.computational((2,))
 Z2 = ProductBasis.computational((2, 2))
@@ -312,3 +319,122 @@ class TestSandwichDephase:
         # A permutation inner yields exactly d surviving members.
         channel = sandwich_dephase(permutation_channel([1, 0, 3, 2], Z2), Z2)
         assert len(channel.kraus) == 4
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the structural tests as one loop per operator and matrix unit, the
+# way they were written before they became array code.  The array code must
+# return the same verdict and the same witness on every channel.
+
+
+def _loop_frames(channel, basis):
+    b = basis.matrix
+    return [b.conj().T @ f @ b for f in channel.kraus]
+
+
+def _loop_is_incoherent(frames):
+    for i, f in enumerate(frames):
+        support = np.abs(f) > STRUCTURAL_ZERO
+        bad = np.nonzero(support.sum(axis=0) > 1)[0]
+        if bad.size:
+            col = int(bad[0])
+            rows = tuple(int(r) for r in np.nonzero(support[:, col])[0])
+            return False, ColumnWitness(i, col, rows)
+    return True, None
+
+
+def _loop_sparsity_strict(frames):
+    for i, f in enumerate(frames):
+        support = np.abs(f) > STRUCTURAL_ZERO
+        col_bad = np.nonzero(support.sum(axis=0) > 1)[0]
+        if col_bad.size:
+            col = int(col_bad[0])
+            rows = np.nonzero(support[:, col])[0]
+            return False, StrictnessWitness(i, int(rows[0]), col)
+        row_bad = np.nonzero(support.sum(axis=1) > 1)[0]
+        if row_bad.size:
+            row = int(row_bad[0])
+            cols = np.nonzero(support[row, :])[0]
+            return False, StrictnessWitness(i, row, int(cols[0]))
+    return True, None
+
+
+def _loop_matrix_unit_strict(frames):
+    for i, f in enumerate(frames):
+        d = f.shape[0]
+        for k in range(d):
+            for l in range(d):
+                pushed = np.outer(f[:, k], f[:, l].conj())
+                lhs = np.diag(np.diagonal(pushed))
+                rhs = pushed if k == l else np.zeros_like(pushed)
+                if float(np.max(np.abs(lhs - rhs))) > STRUCTURAL_ZERO:
+                    return False, StrictnessWitness(i, k, l)
+    return True, None
+
+
+def _strict_frames(d, gen):
+    """Two weighted phased permutations: strict incoherent."""
+    w = gen.random()
+    frames = []
+    for weight in (w, 1.0 - w):
+        f = np.zeros((d, d), dtype=complex)
+        f[gen.permutation(d), np.arange(d)] = np.sqrt(weight) * np.exp(2j * np.pi * gen.random(d))
+        frames.append(f)
+    return frames
+
+
+def _stochastic(d, gen):
+    g = gen.random((d, d)) * (gen.random((d, d)) < 0.6)
+    g[gen.integers(d, size=d), np.arange(d)] += 0.1
+    return StochasticMatrix(g / g.sum(axis=0, keepdims=True))
+
+
+FAMILIES = ("incoherent", "strict", "unitary", "embedded")
+# Up to three entries of the first operator's frame set a few ulps either
+# side of the structural-zero threshold.
+NUDGES = st.lists(
+    st.tuples(st.integers(0, 63), st.integers(-3, 3), st.sampled_from([1.0, -1.0])), max_size=3
+)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=150)
+@given(
+    d=st.integers(1, 8),
+    family=st.sampled_from(FAMILIES),
+    rotated=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    nudges=NUDGES,
+)
+def test_array_checks_match_loop_oracle(d, family, rotated, seed, nudges):
+    gen = substream(seed, 25)
+    basis = ProductBasis((haar_unitary(d, gen),), (d,)) if rotated else ProductBasis.computational((d,))
+    b = basis.matrix
+    if family == "embedded":
+        kraus = list(embed_classical(_stochastic(d, gen), basis).kraus)
+    else:
+        if family == "incoherent":
+            frames = list(_random_incoherent_channel(d, gen).kraus)
+        elif family == "strict":
+            frames = _strict_frames(d, gen)
+        else:
+            frames = [haar_unitary(d, gen)]
+        kraus = [b @ f @ b.conj().T for f in frames]
+    nudge = np.zeros((d, d))
+    for flat, ulps, sign in nudges:
+        nudge.flat[flat % (d * d)] = sign * (STRUCTURAL_ZERO + ulps * np.spacing(STRUCTURAL_ZERO))
+    kraus[0] = kraus[0] + b @ nudge @ b.conj().T
+    channel = KrausChannel(tuple(kraus))
+
+    loop_frames = _loop_frames(channel, basis)
+    frames = incoherent_ops._in_frame(channel, basis)
+    assert np.array_equal(frames, np.stack(loop_frames))
+    assert is_incoherent(channel, basis) == _loop_is_incoherent(loop_frames)
+    units = _loop_matrix_unit_strict(loop_frames)
+    sparse = _loop_sparsity_strict(loop_frames)
+    assert incoherent_ops._matrix_unit_strict(frames) == units
+    assert incoherent_ops._sparsity_strict(frames) == sparse
+    if units[0] == sparse[0]:
+        assert is_strict_incoherent(channel, basis) == (units if not units[0] else sparse)
+    else:
+        with pytest.raises(ArithmeticError):
+            is_strict_incoherent(channel, basis)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import SX, SY, SZ, KET_PLUS
+from netcoh import ndqc2
 from netcoh.coherence import net_global_coherence
 from netcoh.linalg import GateNetwork, partial_trace, tensor
 from netcoh.ndqc2 import (
@@ -274,6 +275,18 @@ class TestSampleRun:
     def test_shot_floor(self):
         with pytest.raises(ValueError):
             sample_run(2, I2, I2, 3, seed=1)
+
+    @pytest.mark.parametrize("task", [1, 2])
+    def test_each_server_unitary_checked_once_per_run(self, monkeypatch, task):
+        checked = []
+        real = ndqc2.is_unitary
+        monkeypatch.setattr(ndqc2, "is_unitary", lambda m: checked.append(m.shape[0]) or real(m))
+        u_b = haar_unitary(4, substream(44, task))
+        sample_run_with_record(task, T_GATE, u_b, 4000, seed=9)
+        assert checked == [2, 4]
+        checked.clear()
+        run_protocol(task, (T_GATE, u_b), 4000, seed=9)
+        assert checked == [2, 4]
 
     def test_estimator_unbiased_across_seeds(self):
         gen = substream(43, 0)

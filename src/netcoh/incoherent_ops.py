@@ -172,6 +172,17 @@ def _matrix_unit_strict(frames: np.ndarray) -> tuple[bool, StrictnessWitness | N
     return True, None
 
 
+def _strict(frames: np.ndarray) -> tuple[bool, StrictnessWitness | None]:
+    ok_units, witness_units = _matrix_unit_strict(frames)
+    ok_sparse, witness_sparse = _sparsity_strict(frames)
+    if ok_units != ok_sparse:
+        raise ArithmeticError(
+            "strictness tests disagree (matrix-unit vs sparsity); "
+            "channel has entries at the structural-zero boundary"
+        )
+    return ok_units, witness_units if not ok_units else witness_sparse
+
+
 def is_strict_incoherent(
     channel: KrausChannel, basis: ProductBasis
 ) -> tuple[bool, StrictnessWitness | None]:
@@ -183,15 +194,7 @@ def is_strict_incoherent(
     Kraus operator has at most one non-zero entry per row and per column.
     Disagreement means a tolerance-boundary pathology and raises.
     """
-    frames = _in_frame(channel, basis)
-    ok_units, witness_units = _matrix_unit_strict(frames)
-    ok_sparse, witness_sparse = _sparsity_strict(frames)
-    if ok_units != ok_sparse:
-        raise ArithmeticError(
-            "strictness tests disagree (matrix-unit vs sparsity); "
-            "channel has entries at the structural-zero boundary"
-        )
-    return ok_units, witness_units if not ok_units else witness_sparse
+    return _strict(_in_frame(channel, basis))
 
 
 def usi_generators(basis: ProductBasis) -> list[KrausChannel]:
@@ -260,10 +263,11 @@ def extract_classical(channel: KrausChannel, basis: ProductBasis) -> StochasticM
     G_ij = <i| channel(|j><j|) |i>; inverse of embed_classical on diagonal
     states.  Raises if the channel is not strict incoherent.
     """
-    ok, witness = is_strict_incoherent(channel, basis)
+    frames = _in_frame(channel, basis)
+    ok, witness = _strict(frames)
     if not ok:
         raise ValueError(f"channel is not strict incoherent (witness {witness})")
-    g = (np.abs(_in_frame(channel, basis)) ** 2).sum(axis=0)
+    g = (np.abs(frames) ** 2).sum(axis=0)
     # Zero any structural dust so columns sum to exactly 1 within 1e-12.
     g[g < STRUCTURAL_ZERO**2] = 0.0
     g = g / g.sum(axis=0, keepdims=True)

@@ -9,9 +9,9 @@ qubits per preparation branch; everything else he sends is maximally mixed.
 The simulator is exact on the state side (density matrices evolve in closed
 form) and Monte Carlo on the measurement side, with Born-rule sampling from
 Philox substreams so runs are bit-reproducible for a given seed.  The dense
-full-system path cross-checks the closed form in ``control_output_state``'s
-default mode (joint dimension up to 256) and in the tests; protocol runs
-sample from the closed form without it.
+full-system path cross-checks the closed form in ``control_output_state`` up
+to joint dimension 256 and in the tests; protocol runs sample from the
+closed form without it.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ _PAULI = {"x": SIGMA_X, "y": SIGMA_Y}
 KET_PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
 KET_MINUS = np.array([1.0, -1.0]) / math.sqrt(2.0)
 
-DENSE_CHECK_AUTO_LIMIT = 256  # joint dim above which the dense path is skipped
+DENSE_CHECK_LIMIT = 256  # joint dim above which the dense path is skipped
 DENSE_HARD_LIMIT = 4096
 
 TASK1_SETTINGS = (("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"))
@@ -165,21 +165,18 @@ def control_output_state(
     u_a: np.ndarray | GateNetwork,
     u_b: np.ndarray | GateNetwork,
     signs: tuple[int, int] = (1, 1),
-    dense_check: bool | str = "auto",
 ) -> DensityMatrix:
     """Joint two-qubit control state after the servers applied their unitaries.
 
-    Computed in closed form; when the full system is small enough (or on
-    request) the dense construction-evolution-trace path is also run and the
-    two must agree within 1e-9.
+    Computed in closed form; up to joint dimension ``DENSE_CHECK_LIMIT`` the
+    dense construction-evolution-trace path is also run and the two must
+    agree within 1e-9.
     """
     _require_task(task)
     u_a = resolve_unitary(u_a)
     u_b = resolve_unitary(u_b)
     out = _closed_form_output(task, _normalized_trace(u_a), _normalized_trace(u_b), signs)
-    joint_dim = 4 * u_a.shape[0] * u_b.shape[0]
-    run_dense = dense_check is True or (dense_check == "auto" and joint_dim <= DENSE_CHECK_AUTO_LIMIT)
-    if run_dense:
+    if 4 * u_a.shape[0] * u_b.shape[0] <= DENSE_CHECK_LIMIT:
         _, rho_out_full = dense_protocol_states(task, u_a, u_b, signs)
         traced = partial_trace(rho_out_full, (0, 2))
         deviation = float(np.max(np.abs(traced.matrix - out.matrix)))
@@ -332,32 +329,19 @@ def _sample_single(
 
 
 def simulate_measurements(
-    task: int,
-    u_a: np.ndarray | GateNetwork,
-    u_b: np.ndarray | GateNetwork,
-    shots: int,
-    seed: int,
-    signs: tuple[int, int] = (1, 1),
+    task: int, rho: DensityMatrix, shots: int, seed: int
 ) -> MeasurementRecord:
-    """Born-rule sampling of the measurement schedule on the control output.
+    """Born-rule sampling of the measurement schedule on a control output
+    state ``rho`` (from ``control_output_state``).
 
     Shots are split evenly over the settings (remainder in fixed order);
     non-commuting observables are estimated on disjoint shot subsets.  Each
     setting draws from its own counter-derived substream, so the record for
     a (seed, task, setting) triple does not depend on evaluation order.
     """
-    _check_run(task, shots)
-    rho = control_output_state(task, u_a, u_b, signs, dense_check=False)
-    return _sample_record(task, rho, shots, seed)
-
-
-def _check_run(task: int, shots: int) -> None:
     _require_task(task)
     if shots < 4:
         raise ValueError("need at least one shot per setting (shots >= 4)")
-
-
-def _sample_record(task: int, rho: DensityMatrix, shots: int, seed: int) -> MeasurementRecord:
     settings = TASK1_SETTINGS if task == 1 else TASK2_SETTINGS
     counts = _split_shots(shots, len(settings))
     records = []
@@ -390,14 +374,13 @@ def _sample_record(task: int, rho: DensityMatrix, shots: int, seed: int) -> Meas
     return MeasurementRecord(task=task, shots=shots, settings=tuple(records))
 
 
-def _setting_mean(record: SettingRecord, lo: int | None = None, hi: int | None = None) -> float:
-    sl = slice(lo, hi)
+def _outcome_vector(record: SettingRecord) -> np.ndarray:
+    """The setting's +1/-1 outcomes as floats: the product of the two sides
+    for a joint setting, the measuring side's own for a single one."""
     if record.alice is not None and record.bob is not None:
-        data = record.alice[sl].astype(float) * record.bob[sl]
-    else:
-        arr = record.alice if record.alice is not None else record.bob
-        data = arr[sl].astype(float)
-    return float(np.mean(data)) if data.size else 0.0
+        return record.alice.astype(float) * record.bob
+    arr = record.alice if record.alice is not None else record.bob
+    return arr.astype(float)
 
 
 def _combine(task: int, means: dict[str, float], signs: tuple[int, int]) -> complex:
@@ -439,21 +422,25 @@ def estimate_from_record(
     shot batches, scaled to the full sample, with a moment-propagation floor
     so it never degenerates to zero on constant samples.
     """
-    full_means = {s.label: _setting_mean(s) for s in record.settings}
+    outcomes = {s.label: _outcome_vector(s) for s in record.settings}
+    full_means = {label: float(np.mean(v)) if v.size else 0.0 for label, v in outcomes.items()}
     estimate = _combine(record.task, full_means, signs)
     floor = _moment_se_floor(record, full_means)
 
     n_batches = min(BATCHES, min(s.shots for s in record.settings))
     if n_batches < 2:
         return estimate, floor
-    batch_estimates = []
-    for k in range(n_batches):
-        means = {}
-        for s in record.settings:
-            edges = np.linspace(0, s.shots, n_batches + 1).astype(int)
-            means[s.label] = _setting_mean(s, edges[k], edges[k + 1])
-        batch_estimates.append(_combine(record.task, means, signs))
-    batch_estimates = np.array(batch_estimates)
+    # Sums of +1/-1 are exact in any order, so these equal per-slice means.
+    batch_means = {}
+    for label, v in outcomes.items():
+        edges = np.linspace(0, v.size, n_batches + 1).astype(int)
+        batch_means[label] = (np.add.reduceat(v, edges[:-1]) / np.diff(edges)).tolist()
+    batch_estimates = np.array(
+        [
+            _combine(record.task, {label: m[k] for label, m in batch_means.items()}, signs)
+            for k in range(n_batches)
+        ]
+    )
     centered = batch_estimates - batch_estimates.mean()
     variance = float(np.sum(np.abs(centered) ** 2) / (n_batches - 1))
     return estimate, max(math.sqrt(variance / n_batches), floor)
@@ -529,9 +516,8 @@ def sample_run_with_record(
     then works from the two normalized traces.
     """
     iota_a, iota_b = iota_factor(u_a), iota_factor(u_b)
-    _check_run(task, shots)
     rho = _closed_form_output(task, iota_a, iota_b, signs)
-    record = _sample_record(task, rho, shots, seed)
+    record = simulate_measurements(task, rho, shots, seed)
     iota_est, se_empirical = estimate_from_record(record, signs)
     rec_control, rec_net = control_coherence_figures(task, signs)
     report = EstimateReport(

@@ -55,6 +55,17 @@ _LANE_ISO = 11
 _LANE_SE = 12
 _LANE_PRIVACY = 13
 
+# Default ensemble sizes, as (family, count) pairs per suite; a suite's
+# ``scale`` (``--ensemble-size``) multiplies each count.
+_ENSEMBLES = {
+    "thm4": (("2x2", 1000), ("2x4", 100), ("product", 200), ("cc", 200)),
+    "thm5": (("haar", 500), ("product", 100)),
+    "thm6": (("cc", 200), ("discordant", 200)),
+    "lemma1": (("channel", 1000),),
+    "isomorphism": (("iso", 100),),
+    "privacy": (("task2", 50),),
+}
+
 # Fixed ensemble parameters that ``--ensemble-size`` does not scale.
 _THM5_BASES = 20  # product bases sampled per thm5 state
 _THM6_BASES = 50  # product bases sampled per discordant thm6 state
@@ -76,6 +87,11 @@ class SuiteResult:
         status = "PASS" if self.passed else "FAIL"
         detail = f" ({len(self.failures)} failures)" if self.failures else ""
         return f"{self.name}: {status}, {len(self.rows)} instances{detail}"
+
+
+def _families(suite: str, scale: float) -> tuple[tuple[str, int], ...]:
+    """The suite's (family, count) pairs with each count scaled, at least 1."""
+    return tuple((family, max(1, int(round(n * scale)))) for family, n in _ENSEMBLES[suite])
 
 
 def _chunk_rows(args: tuple) -> list[dict]:
@@ -163,18 +179,10 @@ def _thm4_row(seed: int, kind: str, i: int) -> dict:
     }
 
 
-def suite_thm4(
-    seed: int,
-    n_two_qubit: int = 1000,
-    n_2x4: int = 100,
-    n_product: int = 200,
-    n_cc: int = 200,
-    workers: int = 1,
-) -> SuiteResult:
+def suite_thm4(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
     """Net-coherence positivity and two-route agreement on random ensembles,
     with equality on product states and basis-diagonal CC states."""
-    families = (("2x2", n_two_qubit), ("2x4", n_2x4), ("product", n_product), ("cc", n_cc))
-    rows = _sweep(_thm4_row, seed, families, workers)
+    rows = _sweep(_thm4_row, seed, _families("thm4", scale), workers)
     failures = []
     for row in rows:
         if row["rec_net"] < -1e-9:
@@ -221,15 +229,10 @@ def _thm5_row(seed: int, kind: str, i: int) -> dict:
     }
 
 
-def suite_thm5(
-    seed: int,
-    n_pure: int = 500,
-    n_product: int = 100,
-    workers: int = 1,
-) -> SuiteResult:
+def suite_thm5(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
     """Pure-state law: entangled iff positive net coherence, product implies
     zero, checked in 20 sampled product bases per state."""
-    rows = _sweep(_thm5_row, seed, (("haar", n_pure), ("product", n_product)), workers)
+    rows = _sweep(_thm5_row, seed, _families("thm5", scale), workers)
     failures = []
     for row in rows:
         if math.isnan(row["rec_net_min"]):
@@ -258,8 +261,8 @@ def suite_thm5(
 def _thm6_row(seed: int, kind: str, i: int) -> dict:
     if kind == "cc":
         rho, _ = _random_cc_diagonal((2, 2), substream(seed, _LANE_THM6, 0, i))
-        val_ab, basis_ab = minimize_discord(rho, A_TO_B, seed=seed + i)
-        val_ba, basis_ba = minimize_discord(rho, B_TO_A, seed=seed + i)
+        val_ab, basis_ab = minimize_discord(rho, A_TO_B)
+        val_ba, basis_ba = minimize_discord(rho, B_TO_A)
         candidates = [
             basis_ab,
             basis_ba,
@@ -278,8 +281,8 @@ def _thm6_row(seed: int, kind: str, i: int) -> dict:
     while True:
         gen = substream(seed, _LANE_THM6, 1, i, attempt)
         rho = random_density_matrix((2, 2), gen)
-        val_ab, _ = minimize_discord(rho, A_TO_B, seed=seed + i, restarts=8)
-        val_ba, _ = minimize_discord(rho, B_TO_A, seed=seed + i, restarts=8)
+        val_ab, _ = minimize_discord(rho, A_TO_B)
+        val_ba, _ = minimize_discord(rho, B_TO_A)
         if min(val_ab, val_ba) > 0.01:
             break
         attempt += 1
@@ -299,16 +302,11 @@ def _thm6_row(seed: int, kind: str, i: int) -> dict:
     }
 
 
-def suite_thm6(
-    seed: int,
-    n_cc: int = 200,
-    n_discordant: int = 200,
-    workers: int = 1,
-) -> SuiteResult:
+def suite_thm6(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
     """Rotated CC states: the discord minimizer recovers a basis with
     vanishing net coherence.  Discordant states: positive net coherence in
     each of 50 sampled product bases."""
-    rows = _sweep(_thm6_row, seed, (("cc", n_cc), ("discordant", n_discordant)), workers)
+    rows = _sweep(_thm6_row, seed, _families("thm6", scale), workers)
     failures = []
     for row in rows:
         if row["kind"] == "cc":
@@ -401,10 +399,10 @@ def _lemma1_row(seed: int, _family: str, i: int) -> dict:
     }
 
 
-def suite_lemma1(seed: int, n_channels: int = 1000, workers: int = 1) -> SuiteResult:
+def suite_lemma1(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
     """Agreement of the definitional and sparsity strictness tests across
     random channels, plus the canonical pass and fail cases."""
-    rows = _sweep(_lemma1_row, seed, (("channel", n_channels),), workers)
+    rows = _sweep(_lemma1_row, seed, _families("lemma1", scale), workers)
     failures = []
     for row in rows:
         if row["strict"] and not row["incoherent"]:
@@ -471,10 +469,10 @@ def _iso_row(seed: int, _family: str, i: int) -> dict:
     }
 
 
-def suite_isomorphism(seed: int, n: int = 100, workers: int = 1) -> SuiteResult:
+def suite_isomorphism(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
     """Embedding of stochastic maps round-trips exactly and reproduces the
     classical action on diagonal states."""
-    rows = _sweep(_iso_row, seed, (("iso", n),), workers)
+    rows = _sweep(_iso_row, seed, _families("isomorphism", scale), workers)
     failures = []
     for row in rows:
         if not row["strict"]:
@@ -529,13 +527,14 @@ def _diagonal_phase_unitary(n_qubits: int, gen, max_phase: float) -> np.ndarray:
     return np.diag(np.exp(1j * phases))
 
 
-def suite_privacy(seed: int, n_unitaries: int = 50) -> SuiteResult:
+def suite_privacy(seed: int, scale: float = 1.0) -> SuiteResult:
     """Correlated-input runs leak nothing into single-server marginals; the
     single-sided protocol with a large normalized trace is flagged in each
     of 10 runs.  Every run takes 40 000 shots."""
     rows = []
     failures = []
     bound = 4.0 / math.sqrt(_PRIVACY_SHOTS / 4.0)
+    ((_, n_unitaries),) = _families("privacy", scale)
     for i in range(n_unitaries):
         gen = substream(seed, _LANE_PRIVACY, 0, i)
         n_q = int(gen.integers(1, 3))
@@ -577,20 +576,14 @@ def suite_privacy(seed: int, n_unitaries: int = 50) -> SuiteResult:
 
 def run_suite(name: str, seed: int, ensemble_scale: float = 1.0, workers: int = 1) -> list[SuiteResult]:
     """Run one named suite (or all); ensemble sizes scale linearly."""
-
-    def scaled(n: int) -> int:
-        return max(1, int(round(n * ensemble_scale)))
-
     dispatch = {
-        "thm4": lambda: suite_thm4(
-            seed, scaled(1000), scaled(100), scaled(200), scaled(200), workers=workers
-        ),
-        "thm5": lambda: suite_thm5(seed, scaled(500), scaled(100), workers=workers),
-        "thm6": lambda: suite_thm6(seed, scaled(200), scaled(200), workers=workers),
-        "lemma1": lambda: suite_lemma1(seed, scaled(1000), workers=workers),
-        "isomorphism": lambda: suite_isomorphism(seed, scaled(100), workers=workers),
+        "thm4": lambda: suite_thm4(seed, ensemble_scale, workers),
+        "thm5": lambda: suite_thm5(seed, ensemble_scale, workers),
+        "thm6": lambda: suite_thm6(seed, ensemble_scale, workers),
+        "lemma1": lambda: suite_lemma1(seed, ensemble_scale, workers),
+        "isomorphism": lambda: suite_isomorphism(seed, ensemble_scale, workers),
         "se-scaling": lambda: suite_se_scaling(seed),
-        "privacy": lambda: suite_privacy(seed, scaled(50)),
+        "privacy": lambda: suite_privacy(seed, ensemble_scale),
     }
     if name == "all":
         return [dispatch[suite]() for suite in SUITE_NAMES]

@@ -141,7 +141,7 @@ def test_criterion_05_cc_recovery_and_discordant_states():
 
 
 def test_criterion_06_strictness_tests():
-    result = suite_lemma1(SEED, n_channels=1000)
+    result = suite_lemma1(SEED)
     assert result.passed, result.failures[:5]
     random_rows = [r for r in result.rows if r["family"] != "canonical"]
     assert len(random_rows) == 1000
@@ -149,7 +149,7 @@ def test_criterion_06_strictness_tests():
 
 
 def test_criterion_07_classical_embedding():
-    result = suite_isomorphism(SEED, n=100)
+    result = suite_isomorphism(SEED)
     assert result.passed, result.failures[:5]
     worst_rt = max(r["round_trip_err"] for r in result.rows)
     worst_action = max(r["action_err"] for r in result.rows)
@@ -211,7 +211,7 @@ def test_criterion_09_protocol_correctness():
         gen = substream(SEED, 10, trial)
         net_a = random_gate_network(3, 25, gen)
         net_b = random_gate_network(3, 25, gen)
-        out = control_output_state(2, net_a, net_b, dense_check=True)
+        out = control_output_state(2, net_a, net_b)
         gap = abs(joint_ladder_expectation(out) - exact_iota(net_a, net_b))
         worst_identity = max(worst_identity, gap)
         rep = sample_run(2, net_a, net_b, 100_000, seed=SEED + trial)
@@ -241,7 +241,7 @@ def test_criterion_10_precision_law():
 
 
 def test_criterion_11_marginal_privacy():
-    result = suite_privacy(SEED, n_unitaries=50)
+    result = suite_privacy(SEED)
     assert result.passed, result.failures[:5]
     task2 = [r for r in result.rows if r["kind"] == "task2"]
     leaks = [r for r in result.rows if r["kind"] == "task1-leak"]

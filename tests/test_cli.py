@@ -344,6 +344,21 @@ GOLDEN_RUN = {
     "unitary_b": {"qubits": 1, "gates": [{"name": "S", "targets": [0]}]},
 }
 
+GOLDEN_RUN_TASK2 = {
+    "task": 2,
+    "shots": 4003,
+    "seed": 17,
+    "unitary_a": {
+        "qubits": 2,
+        "gates": [
+            {"name": "H", "targets": [0]},
+            {"name": "T", "targets": [1]},
+            {"name": "CNOT", "targets": [0, 1]},
+        ],
+    },
+    "unitary_b": {"qubits": 1, "gates": [{"name": "T", "targets": [0]}]},
+}
+
 GOLDEN_COHERENCE_2X2 = (
     '{"mutual_info":0.592138777669,"mutual_info_dephased":0.00837788058476,'
     '"rec_global":0.605684126575,"rec_local":[0.0112053593998,0.0107178700914],'
@@ -373,6 +388,14 @@ GOLDEN_NDQC2 = (
     '"rec_net":0.0,"se_empirical":0.037171119706,"se_predicted":0.0205952234334,'
     '"seed":42,"shots":4000,"task":1}'
 )
+
+GOLDEN_NDQC2_TASK2 = (
+    '{"bp_predicted":-4.80513975572e-16,"iota_est":{"im":0.168905094905,"re":0.197802197802},'
+    '"iota_exact":{"im":0.213388347648,"re":0.213388347648},"rec_control":1.0,"rec_net":1.0,'
+    '"se_empirical":0.0625682692044,"se_predicted":0.0275566431638,"seed":17,"shots":4003,'
+    '"task":2}'
+)
+GOLDEN_TRANSCRIPT_TASK2_SHA256 = "dcd4ea21173e8dd683a1f7b17e1bee9567035a34b48c26971a577c6b5eca787c"
 
 
 # SHA-256 of the ``--format json --out`` report of each verify sweep at seed 7.
@@ -407,6 +430,14 @@ class TestGoldenBytes:
         path.write_text(json.dumps(GOLDEN_RUN))
         assert main(["ndqc2", str(path)]) == 0
         assert capsys.readouterr().out == GOLDEN_NDQC2 + "\n"
+
+    def test_ndqc2_task2_report_and_transcript(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(GOLDEN_RUN_TASK2))
+        assert main(["ndqc2", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out == GOLDEN_NDQC2_TASK2 + "\n"
+        transcript = (tmp_path / "out" / "transcript.json").read_bytes()
+        assert hashlib.sha256(transcript).hexdigest() == GOLDEN_TRANSCRIPT_TASK2_SHA256
 
     @pytest.mark.parametrize("suite, size", sorted(GOLDEN_VERIFY_SHA256))
     def test_verify_report(self, tmp_path, suite, size):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import SX, SY, SZ, KET_PLUS
 from netcoh import ndqc2
@@ -94,7 +96,7 @@ class TestControlOutputState:
         for i in range(10):
             gen = substream(41, i)
             u_a, u_b = haar_unitary(4, gen), haar_unitary(4, gen)
-            out = control_output_state(2, u_a, u_b, dense_check=True)
+            out = control_output_state(2, u_a, u_b)
             assert abs(joint_ladder_expectation(out) - exact_iota(u_a, u_b)) <= 1e-9
 
     def test_task1_product_of_sides_identity(self):
@@ -114,6 +116,18 @@ class TestControlOutputState:
         out = control_output_state(1, T_GATE, I2, signs=(-1, 1))
         side_a = np.trace(partial_trace(out, (0,)).matrix @ ladder)
         assert abs(side_a - (-iota_factor(T_GATE))) <= 1e-9
+
+    @pytest.mark.parametrize("d_a, d_b, expected", [(2, 2, 1), (8, 8, 1), (16, 8, 0)])
+    def test_dense_check_runs_up_to_joint_dimension_256(self, monkeypatch, d_a, d_b, expected):
+        calls = []
+        real = ndqc2.dense_protocol_states
+        monkeypatch.setattr(
+            ndqc2, "dense_protocol_states", lambda *args: calls.append(args) or real(*args)
+        )
+        u_a = np.diag(np.exp(1j * np.arange(d_a)))
+        u_b = np.diag(np.exp(-1j * np.arange(d_b)))
+        control_output_state(2, u_a, u_b)
+        assert len(calls) == expected
 
     def test_dense_path_cap(self):
         big = np.diag(np.exp(1j * np.arange(64)))
@@ -447,5 +461,80 @@ class TestEstimatorInternals:
         assert 0.5 * 4 / math.sqrt(40000) <= report.se_empirical <= 2.0 * 4 / math.sqrt(40000)
 
     def test_uneven_shot_split(self):
-        record = simulate_measurements(2, I2, I2, 10, seed=1)
+        record = simulate_measurements(2, control_output_state(2, I2, I2), 10, seed=1)
         assert [s.shots for s in record.settings] == [3, 3, 2, 2]
+
+
+def _reference_setting_mean(record, lo=None, hi=None):
+    sl = slice(lo, hi)
+    if record.alice is not None and record.bob is not None:
+        data = record.alice[sl].astype(float) * record.bob[sl]
+    else:
+        arr = record.alice if record.alice is not None else record.bob
+        data = arr[sl].astype(float)
+    return float(np.mean(data)) if data.size else 0.0
+
+
+def _reference_estimate(record, signs=(1, 1)):
+    """The estimator as a per-batch loop over slices: one product vector and
+    one set of batch edges per setting and batch."""
+    full_means = {s.label: _reference_setting_mean(s) for s in record.settings}
+    estimate = ndqc2._combine(record.task, full_means, signs)
+    floor = ndqc2._moment_se_floor(record, full_means)
+    n_batches = min(ndqc2.BATCHES, min(s.shots for s in record.settings))
+    if n_batches < 2:
+        return estimate, floor
+    batch_estimates = []
+    for k in range(n_batches):
+        means = {}
+        for s in record.settings:
+            edges = np.linspace(0, s.shots, n_batches + 1).astype(int)
+            means[s.label] = _reference_setting_mean(s, edges[k], edges[k + 1])
+        batch_estimates.append(ndqc2._combine(record.task, means, signs))
+    batch_estimates = np.array(batch_estimates)
+    centered = batch_estimates - batch_estimates.mean()
+    variance = float(np.sum(np.abs(centered) ** 2) / (n_batches - 1))
+    return estimate, max(math.sqrt(variance / n_batches), floor)
+
+
+SIGN_PAIRS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+# Probability of a +1 outcome per side; 0 and 1 give constant outcomes.
+P_PLUS = st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(
+    task=st.sampled_from([1, 2]),
+    signs=st.sampled_from(SIGN_PAIRS),
+    shots=st.integers(4, 40) | st.integers(4, 5000),
+    p_plus=st.lists(P_PLUS, min_size=8, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(task=2, signs=(1, 1), shots=4, p_plus=[0.5] * 8, seed=0)  # one batch
+@example(task=1, signs=(-1, 1), shots=7, p_plus=[0.5] * 8, seed=1)  # uneven, one batch
+@example(task=2, signs=(1, -1), shots=4003, p_plus=[1.0] * 8, seed=2)  # constant outcomes
+@example(task=1, signs=(1, 1), shots=5000, p_plus=[0.0, 1.0] * 4, seed=3)
+def test_estimator_matches_per_batch_loop_oracle(task, signs, shots, p_plus, seed):
+    gen = np.random.default_rng(seed)
+    settings_ = ndqc2.TASK1_SETTINGS if task == 1 else ndqc2.TASK2_SETTINGS
+    records = []
+    for index, ((spec_a, spec_b), n) in enumerate(zip(settings_, ndqc2._split_shots(shots, 4))):
+        alice, bob = (
+            np.where(gen.random(n) < p, 1, -1).astype(np.int8)
+            for p in p_plus[2 * index : 2 * index + 2]
+        )
+        if task == 1:
+            on_a = spec_a == "a"
+            records.append(
+                SettingRecord(
+                    f"{spec_a}:{spec_b}",
+                    spec_b if on_a else None,
+                    None if on_a else spec_b,
+                    alice if on_a else None,
+                    None if on_a else bob,
+                )
+            )
+        else:
+            records.append(SettingRecord(f"{spec_a}{spec_b}", spec_a, spec_b, alice, bob))
+    record = MeasurementRecord(task=task, shots=shots, settings=tuple(records))
+    assert estimate_from_record(record, signs) == _reference_estimate(record, signs)

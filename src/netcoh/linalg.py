@@ -298,13 +298,18 @@ GATE_MATRICES: dict[str, np.ndarray] = {
 
 TWO_QUBIT_GATES = ("CNOT", "CZ")
 
+# Largest gate network: d = 1024, the largest size the spectral path is
+# checked at; its unitary takes 16 MiB.
+MAX_GATE_QUBITS = 10
+
 _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
 @dataclass(frozen=True)
 class GateNetwork:
-    """Ordered list of gates from {H, T, S, X, Y, Z, CNOT, CZ} on named qubits.
+    """Ordered list of gates from {H, T, S, X, Y, Z, CNOT, CZ} on 1 to
+    ``MAX_GATE_QUBITS`` named qubits.
 
     For CNOT, targets are (control, target).  CZ is symmetric.
     """
@@ -315,6 +320,10 @@ class GateNetwork:
     def __post_init__(self):
         if self.qubit_count < 1:
             raise ValueError("qubit_count must be positive")
+        if self.qubit_count > MAX_GATE_QUBITS:
+            raise ValueError(
+                f"qubit_count must be at most {MAX_GATE_QUBITS}, got {self.qubit_count}"
+            )
         normalized = []
         for entry in self.gates:
             name, targets = entry

@@ -8,7 +8,11 @@ qubits per preparation branch; everything else he sends is maximally mixed.
 
 The simulator is exact on the state side (density matrices evolve in closed
 form) and Monte Carlo on the measurement side, with Born-rule sampling from
-Philox substreams so runs are bit-reproducible for a given seed.  The dense
+Philox substreams so runs are bit-reproducible for a given seed.  Each shot
+is one uniform draw: a joint setting compares it with the cdf of its four
+outcome probabilities, which gives the draws and outcomes of
+``Generator.choice``; a single-server setting compares it with the
+probability of +1.  A run takes at most ``MAX_SHOTS`` shots.  The dense
 full-system path cross-checks the closed form in ``control_output_state`` up
 to joint dimension 256 and in the tests; protocol runs sample from the
 closed form without it.
@@ -53,6 +57,8 @@ TASK1_SETTINGS = (("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"))
 TASK2_SETTINGS = (("x", "x"), ("y", "y"), ("x", "y"), ("y", "x"))
 
 BATCHES = 16
+# Largest run: sampling and estimating take about 100 MB per 10**7 shots.
+MAX_SHOTS = 10**8
 
 
 class CoherenceResourceError(ValueError):
@@ -300,23 +306,41 @@ def _projectors(pauli: str) -> tuple[np.ndarray, np.ndarray]:
     return (eye + p) / 2.0, (eye - p) / 2.0
 
 
+@lru_cache(maxsize=4)
+def _joint_projectors(pauli_a: str, pauli_b: str) -> tuple[np.ndarray, ...]:
+    """The four read-only products P_a (x) P_b, outcomes ordered ++, +-, -+, --."""
+    products = []
+    for proj_a in _projectors(pauli_a):
+        for proj_b in _projectors(pauli_b):
+            product = tensor(proj_a, proj_b)
+            product.setflags(write=False)
+            products.append(product)
+    return tuple(products)
+
+
+def _signs_of(minus: np.ndarray) -> np.ndarray:
+    """+1/-1 int8 outcomes from a boolean "outcome was -1" array."""
+    return 1 - 2 * minus.view(np.int8)
+
+
 def _sample_joint(
     rho: DensityMatrix, pauli_a: str, pauli_b: str, n: int, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    proj_a = _projectors(pauli_a)
-    proj_b = _projectors(pauli_b)
-    probs = np.empty(4)
-    for ia in range(2):
-        for ib in range(2):
-            probs[2 * ia + ib] = float(
-                np.real(np.trace(rho.matrix @ tensor(proj_a[ia], proj_b[ib])))
-            )
+    """Joint outcomes of n shots, drawn as ``gen.choice(4, size=n, p=probs)``
+    draws them: one uniform u per shot against the normalised cdf, the
+    outcome index being the number of cdf entries at or below u.  Alice's
+    outcome is the index's high bit, Bob's its parity."""
+    probs = np.array(
+        [float(np.real(np.trace(rho.matrix @ p))) for p in _joint_projectors(pauli_a, pauli_b)]
+    )
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
-    draws = gen.choice(4, size=n, p=probs)
-    alice = np.where(draws < 2, 1, -1).astype(np.int8)
-    bob = np.where(draws % 2 == 0, 1, -1).astype(np.int8)
-    return alice, bob
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    u = gen.random(n)
+    alice_minus = u >= cdf[1]
+    bob_minus = (u >= cdf[0]) ^ alice_minus ^ (u >= cdf[2])
+    return _signs_of(alice_minus), _signs_of(bob_minus)
 
 
 def _sample_single(
@@ -324,8 +348,7 @@ def _sample_single(
 ) -> np.ndarray:
     plus, _ = _projectors(pauli)
     p_plus = float(np.clip(np.real(np.trace(rho_marginal @ plus)), 0.0, 1.0))
-    draws = gen.random(n)
-    return np.where(draws < p_plus, 1, -1).astype(np.int8)
+    return _signs_of(gen.random(n) >= p_plus)
 
 
 def simulate_measurements(
@@ -334,21 +357,25 @@ def simulate_measurements(
     """Born-rule sampling of the measurement schedule on a control output
     state ``rho`` (from ``control_output_state``).
 
-    Shots are split evenly over the settings (remainder in fixed order);
-    non-commuting observables are estimated on disjoint shot subsets.  Each
-    setting draws from its own counter-derived substream, so the record for
-    a (seed, task, setting) triple does not depend on evaluation order.
+    Shots, 4 to ``MAX_SHOTS``, are split evenly over the settings
+    (remainder in fixed order); non-commuting observables are estimated on
+    disjoint shot subsets.  Each setting draws one uniform per shot from its
+    own counter-derived substream, so the record for a (seed, task, setting)
+    triple does not depend on evaluation order.
     """
     _require_task(task)
     if shots < 4:
         raise ValueError("need at least one shot per setting (shots >= 4)")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be at most {MAX_SHOTS}, got {shots}")
     settings = TASK1_SETTINGS if task == 1 else TASK2_SETTINGS
     counts = _split_shots(shots, len(settings))
     records = []
-    marginals = {
-        "a": partial_trace(rho, (0,)).matrix,
-        "b": partial_trace(rho, (1,)).matrix,
-    }
+    if task == 1:
+        marginals = {
+            "a": partial_trace(rho, (0,)).matrix,
+            "b": partial_trace(rho, (1,)).matrix,
+        }
     for index, (spec_a, spec_b) in enumerate(settings):
         gen = substream(seed, task, index)
         n = counts[index]
@@ -378,7 +405,7 @@ def _outcome_vector(record: SettingRecord) -> np.ndarray:
     """The setting's +1/-1 outcomes as floats: the product of the two sides
     for a joint setting, the measuring side's own for a single one."""
     if record.alice is not None and record.bob is not None:
-        return record.alice.astype(float) * record.bob
+        return (record.alice * record.bob).astype(float)
     arr = record.alice if record.alice is not None else record.bob
     return arr.astype(float)
 

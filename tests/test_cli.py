@@ -8,7 +8,8 @@ import pytest
 
 from helpers import bell_state, cc_state, two_control_mixture
 from netcoh.cli import main, worker_count
-from netcoh.linalg import matrix_to_json
+from netcoh.linalg import MAX_GATE_QUBITS, matrix_to_json
+from netcoh.ndqc2 import MAX_SHOTS
 from netcoh.reporting import canonical_dumps
 
 
@@ -233,6 +234,38 @@ class TestNdqc2Command:
         name = {"targets": "gate target", "signs": "signs entry"}.get(field, field)
         assert f"{name} must be an integer" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("shots", [MAX_SHOTS + 1, 10**13])
+    def test_oversized_shots_exit_2(self, tmp_path, capsys, shots):
+        # Rejected before any outcome array is allocated.
+        desc = {
+            "task": 2,
+            "shots": shots,
+            "unitary_a": matrix_to_json(np.eye(2)),
+            "unitary_b": matrix_to_json(np.eye(2)),
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(desc))
+        assert main(["ndqc2", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"shots must be at most {MAX_SHOTS}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("qubits", [MAX_GATE_QUBITS + 1, 20])
+    def test_oversized_gate_network_exits_2(self, tmp_path, capsys, qubits):
+        # Rejected before the 2**qubits-dimensional unitary is compiled.
+        desc = {
+            "task": 2,
+            "shots": 100,
+            "unitary_a": matrix_to_json(np.eye(2)),
+            "unitary_b": {"qubits": qubits, "gates": [{"name": "T", "targets": [0]}]},
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(desc))
+        assert main(["ndqc2", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"qubit_count must be at most {MAX_GATE_QUBITS}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_unitary_file_reference(self, tmp_path, capsys):
         upath = tmp_path / "u.json"

@@ -1,11 +1,16 @@
-"""CLI fuzz property: any JSON state file ends in a contract exit code."""
+"""CLI fuzz properties: any JSON state file or run descriptor ends in a
+contract exit code."""
 
+import contextlib
+import io
 import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netcoh.cli import main
+from netcoh.linalg import MAX_GATE_QUBITS
+from netcoh.ndqc2 import MAX_SHOTS
 
 SCALARS = (
     st.none()
@@ -70,3 +75,36 @@ def test_dim_parses_only_as_an_integer(tmp_path_factory, dim):
     path = tmp_path_factory.mktemp("fuzz") / "state.json"
     path.write_text(json.dumps(dict(_maximally_mixed(4), dim=dim)))
     assert main(["coherence", str(path)]) == (0 if type(dim) is int and dim == 4 else 2)
+
+
+def _small_when_valid(limit: int, cap: int):
+    """JSON values, minus integers in (limit, cap]: a value that passes the
+    cap check stays small enough to run in milliseconds."""
+    return JSON_VALUES.filter(lambda v: not (type(v) is int and limit < v <= cap))
+
+
+SHOTS = _small_when_valid(1000, MAX_SHOTS) | st.integers(0, 1000) | st.integers(
+    MAX_SHOTS + 1, 2**70
+)
+QUBITS = _small_when_valid(3, MAX_GATE_QUBITS) | st.integers(0, 3) | st.integers(
+    MAX_GATE_QUBITS + 1, 2**70
+)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(task=st.sampled_from([1, 2]), shots=SHOTS, qubits=QUBITS)
+def test_ndqc2_exit_code_is_in_contract(tmp_path_factory, task, shots, qubits):
+    desc = {
+        "task": task,
+        "shots": shots,
+        "seed": 3,
+        "unitary_a": {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]},
+        "unitary_b": {"qubits": qubits, "gates": [{"name": "T", "targets": [0]}]},
+    }
+    path = tmp_path_factory.mktemp("fuzz") / "run.json"
+    path.write_text(json.dumps(desc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["ndqc2", str(path)])
+    assert code in (0, 2, 4)
+    assert "Traceback" not in err.getvalue()

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import SX, SY, SZ, bell_state, werner
 from netcoh.linalg import (
+    MAX_GATE_QUBITS,
     DensityMatrix,
     DimensionMismatchError,
     GateNetwork,
@@ -322,6 +323,9 @@ class TestGateNetwork:
             GateNetwork(2, (("Q", (0,)),))
         with pytest.raises(ValueError):
             GateNetwork(0)
+        with pytest.raises(ValueError, match="at most 10"):
+            GateNetwork(MAX_GATE_QUBITS + 1)
+        assert GateNetwork(MAX_GATE_QUBITS, (("H", (9,)),)).qubit_count == 10
 
 
 class TestPermuteSubsystems:

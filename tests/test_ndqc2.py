@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import SX, SY, SZ, KET_PLUS
 from netcoh import ndqc2
 from netcoh.coherence import net_global_coherence
-from netcoh.linalg import GateNetwork, partial_trace, tensor
+from netcoh.linalg import DensityMatrix, GateNetwork, partial_trace, random_density_matrix, tensor
 from netcoh.ndqc2 import (
     CapabilityViolationError,
     CoherenceResourceError,
@@ -290,6 +291,10 @@ class TestSampleRun:
         with pytest.raises(ValueError):
             sample_run(2, I2, I2, 3, seed=1)
 
+    def test_shot_cap(self):
+        with pytest.raises(ValueError, match="at most"):
+            sample_run(2, I2, I2, ndqc2.MAX_SHOTS + 1, seed=1)
+
     @pytest.mark.parametrize("task", [1, 2])
     def test_each_server_unitary_checked_once_per_run(self, monkeypatch, task):
         checked = []
@@ -538,3 +543,215 @@ def test_estimator_matches_per_batch_loop_oracle(task, signs, shots, p_plus, see
             records.append(SettingRecord(f"{spec_a}{spec_b}", spec_a, spec_b, alice, bob))
     record = MeasurementRecord(task=task, shots=shots, settings=tuple(records))
     assert estimate_from_record(record, signs) == _reference_estimate(record, signs)
+
+
+# ---------------------------------------------------------------------------
+# Sampler oracle: the samplers against copies of the gen.choice / np.where
+# code they replaced, which must agree draw for draw.
+
+_REF_PAULI = {"x": SX, "y": SY}
+
+
+def _reference_projectors(pauli):
+    eye = np.eye(2, dtype=complex)
+    return (eye + _REF_PAULI[pauli]) / 2.0, (eye - _REF_PAULI[pauli]) / 2.0
+
+
+def _reference_probs(rho, pauli_a, pauli_b):
+    proj_a = _reference_projectors(pauli_a)
+    proj_b = _reference_projectors(pauli_b)
+    probs = np.empty(4)
+    for ia in range(2):
+        for ib in range(2):
+            probs[2 * ia + ib] = float(
+                np.real(np.trace(rho.matrix @ tensor(proj_a[ia], proj_b[ib])))
+            )
+    probs = np.clip(probs, 0.0, None)
+    probs /= probs.sum()
+    return probs
+
+
+def _reference_sample_joint(rho, pauli_a, pauli_b, n, gen):
+    probs = _reference_probs(rho, pauli_a, pauli_b)
+    draws = gen.choice(4, size=n, p=probs)
+    alice = np.where(draws < 2, 1, -1).astype(np.int8)
+    bob = np.where(draws % 2 == 0, 1, -1).astype(np.int8)
+    return alice, bob
+
+
+def _reference_sample_single(rho_marginal, pauli, n, gen):
+    plus, _ = _reference_projectors(pauli)
+    p_plus = float(np.clip(np.real(np.trace(rho_marginal @ plus)), 0.0, 1.0))
+    draws = gen.random(n)
+    return np.where(draws < p_plus, 1, -1).astype(np.int8)
+
+
+def _plain(value):
+    """A bit-generator state with its arrays as tuples, comparable with ==."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return tuple(value.tolist())
+    return value
+
+
+def _state_in_setting_basis(pauli_a, pauli_b, weights):
+    """The two-qubit state diagonal in the setting's product eigenbasis with
+    the given outcome probabilities; dyadic weights stay exact, so zero
+    entries and equal entries survive into the sampler's cdf."""
+    projectors = ndqc2._joint_projectors(pauli_a, pauli_b)
+    return DensityMatrix(sum(w * p for w, p in zip(weights, projectors)), (2, 2))
+
+
+# Exact outcome distributions: zeros (repeated cdf values), ties, point masses.
+DYADIC_WEIGHTS = st.permutations([1.0, 0.0, 0.0, 0.0]) | st.sampled_from(
+    [
+        [0.5, 0.5, 0.0, 0.0],
+        [0.5, 0.0, 0.0, 0.5],
+        [0.0, 0.5, 0.5, 0.0],
+        [0.0, 0.0, 0.5, 0.5],
+        [0.25, 0.25, 0.25, 0.25],
+        [0.75, 0.0, 0.25, 0.0],
+        [0.0, 0.125, 0.375, 0.5],
+        [0.375, 0.125, 0.0, 0.5],
+    ]
+)
+FLOAT_WEIGHTS = st.lists(
+    st.sampled_from([0.0]) | st.floats(1e-12, 1.0), min_size=4, max_size=4
+).filter(lambda w: sum(w) > 0.0).map(lambda w: [x / sum(w) for x in w])
+PAULIS = st.sampled_from(["x", "y"])
+SHOT_COUNTS = st.integers(1, 40) | st.integers(1, 3000)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(
+    pauli_a=PAULIS,
+    pauli_b=PAULIS,
+    weights=DYADIC_WEIGHTS | FLOAT_WEIGHTS | st.none(),
+    state_seed=st.integers(0, 2**32 - 1),
+    n=SHOT_COUNTS,
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(pauli_a="x", pauli_b="x", weights=None, state_seed=0, n=1, seed=0)
+@example(pauli_a="y", pauli_b="x", weights=[0.0, 0.0, 0.0, 1.0], state_seed=0, n=3000, seed=1)
+@example(pauli_a="x", pauli_b="y", weights=[0.0, 1.0, 0.0, 0.0], state_seed=0, n=2999, seed=2)
+def test_joint_sampler_matches_choice_oracle(pauli_a, pauli_b, weights, state_seed, n, seed):
+    if weights is None:  # a random state, outside the setting's eigenbasis
+        rho = random_density_matrix((2, 2), substream(state_seed, 77))
+    else:
+        rho = _state_in_setting_basis(pauli_a, pauli_b, weights)
+    gen, ref_gen = substream(seed, 2, 0), substream(seed, 2, 0)
+    alice, bob = ndqc2._sample_joint(rho, pauli_a, pauli_b, n, gen)
+    ref_alice, ref_bob = _reference_sample_joint(rho, pauli_a, pauli_b, n, ref_gen)
+    assert alice.dtype == bob.dtype == np.int8
+    assert np.array_equal(alice, ref_alice) and np.array_equal(bob, ref_bob)
+    assert _plain(gen.bit_generator.state) == _plain(ref_gen.bit_generator.state)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=150)
+@given(
+    pauli=PAULIS,
+    bloch=st.sampled_from([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.0, 0.0)])
+    | st.tuples(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)),
+    n=SHOT_COUNTS,
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(pauli="x", bloch=(1.0, 0.0), n=1, seed=0)  # p_plus = 1
+@example(pauli="y", bloch=(0.0, -1.0), n=3000, seed=1)  # p_plus = 0
+def test_single_sampler_matches_where_oracle(pauli, bloch, n, seed):
+    marginal = (np.eye(2) + bloch[0] * SX + bloch[1] * SY) / 2.0
+    gen, ref_gen = substream(seed, 1, 0), substream(seed, 1, 0)
+    outcomes = ndqc2._sample_single(marginal, pauli, n, gen)
+    reference = _reference_sample_single(marginal, pauli, n, ref_gen)
+    assert outcomes.dtype == np.int8
+    assert np.array_equal(outcomes, reference)
+    assert _plain(gen.bit_generator.state) == _plain(ref_gen.bit_generator.state)
+
+
+class _FixedUniforms(np.random.Generator):
+    """A generator whose next uniforms are given.  ``Generator.choice``
+    draws through ``random`` as well, so both samplers see the same values."""
+
+    def __init__(self, values):
+        super().__init__(np.random.Philox(0))
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        assert size == self.values.size
+        return self.values.copy()
+
+
+def _around(edges):
+    """Each edge and its two neighbouring floats, kept inside [0, 1)."""
+    edges = np.asarray(edges, dtype=float)
+    values = np.concatenate([[0.0], edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    return np.unique(values[(values >= 0.0) & (values < 1.0)])
+
+
+# Normalised outcome probabilities whose running sum ends at 1 - 2**-53, so
+# the cdf differs from the running sum until it is divided by its last entry.
+RENORMALISED_WEIGHTS = [
+    0.4058124082999818,
+    0.2545609908918319,
+    0.14090566966580265,
+    0.19872093114238382,
+]
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [0.25, 0.25, 0.25, 0.25],
+        [0.5, 0.0, 0.0, 0.5],
+        [0.0, 0.5, 0.5, 0.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        RENORMALISED_WEIGHTS,
+    ],
+)
+def test_joint_sampler_on_cdf_edges(weights):
+    # Uniforms on and next to every cdf entry, before and after the
+    # renormalisation: an entry equal to the uniform counts, as in
+    # searchsorted(side="right").
+    rho = _state_in_setting_basis("x", "y", weights)
+    probs = _reference_probs(rho, "x", "y")
+    if weights is RENORMALISED_WEIGHTS:
+        assert np.cumsum(probs)[-1] != 1.0
+    uniforms = _around(np.concatenate([np.cumsum(probs), np.cumsum(probs) / np.cumsum(probs)[-1]]))
+    n = uniforms.size
+    alice, bob = ndqc2._sample_joint(rho, "x", "y", n, _FixedUniforms(uniforms))
+    ref_alice, ref_bob = _reference_sample_joint(rho, "x", "y", n, _FixedUniforms(uniforms))
+    assert np.array_equal(alice, ref_alice) and np.array_equal(bob, ref_bob)
+
+
+@pytest.mark.parametrize("bloch", [(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.3, 0.0)])
+def test_single_sampler_on_p_plus(bloch):
+    marginal = (np.eye(2) + bloch[0] * SX + bloch[1] * SY) / 2.0
+    p_plus = float(np.real(np.trace(marginal @ _reference_projectors("x")[0])))
+    uniforms = _around([p_plus])
+    outcomes = ndqc2._sample_single(marginal, "x", uniforms.size, _FixedUniforms(uniforms))
+    reference = _reference_sample_single(marginal, "x", uniforms.size, _FixedUniforms(uniforms))
+    assert np.array_equal(outcomes, reference)
+
+
+# sha256 of the raw int8 outcome bytes (settings in order, Alice before Bob)
+# of two 1e5-shot runs, taken from the gen.choice sampler.
+U_PHASE_A = np.diag([1.0, np.exp(0.9j)])
+U_PHASE_B = np.diag([np.exp(0.3j), np.exp(-1.1j)])
+GOLDEN_RECORD_SHA256 = {
+    (1, (1, -1), 5): "010f857eb85997cc21860ce966688f60d4884f9403fc89727a9b052cbbe5b6f0",
+    (2, (1, 1), 6): "a1f7148ebb7be17ca75514c6f87fba00cf942b4f454588091843f34e6edb376d",
+}
+
+
+@pytest.mark.parametrize("task, signs, seed", sorted(GOLDEN_RECORD_SHA256))
+def test_record_bytes_pinned(task, signs, seed):
+    rho = control_output_state(task, U_PHASE_A, U_PHASE_B, signs)
+    record = simulate_measurements(task, rho, 100_000, seed)
+    digest = hashlib.sha256()
+    for s in record.settings:
+        for arr in (s.alice, s.bob):
+            if arr is not None:
+                assert arr.dtype == np.int8
+                digest.update(arr.tobytes())
+    assert digest.hexdigest() == GOLDEN_RECORD_SHA256[task, signs, seed]

@@ -10,6 +10,7 @@ while genuinely discordant random states land at 1e-3 or more.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,13 @@ class CorrelationVerdict:
         return out
 
 
+def _require_threshold(threshold: float) -> None:
+    """Fail closed: every "discord > threshold" comparison is false for a
+    NaN threshold, and no discord can meet a negative one."""
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise ValueError(f"threshold must be a finite number >= 0, got {threshold!r}")
+
+
 def is_product(rho: DensityMatrix, tol: float = PRODUCT_TOL) -> bool:
     """True iff the state equals the tensor product of its marginals."""
     require_bipartite(rho)
@@ -106,6 +114,7 @@ def is_cc(
     ``restarts`` reach only a minimization whose measured side is larger
     than a qubit; a qubit side is searched deterministically.
     """
+    _require_threshold(threshold)
     require_bipartite(rho)
     result_ab = minimize_discord(rho, A_TO_B, seed=seed, restarts=restarts)
     if result_ab[0] > threshold:
@@ -148,6 +157,7 @@ def is_one_way_qc(
 ) -> bool:
     """True iff the state is classical on the measured side of ``direction``,
     i.e. its minimized discord in that direction vanishes."""
+    _require_threshold(threshold)
     require_bipartite(rho)
     val, _ = minimize_discord(rho, direction, seed=seed, restarts=restarts)
     return val <= threshold
@@ -184,6 +194,7 @@ def classify(
     ``minimize_discord``, which ignores them when the measured side is a
     qubit, so a two-qubit verdict is the same for every seed.
     """
+    _require_threshold(threshold)
     require_bipartite(rho)
     result_ab = minimize_discord(rho, A_TO_B, seed=seed, restarts=restarts)
     result_ba = minimize_discord(rho, B_TO_A, seed=seed, restarts=restarts)

@@ -18,6 +18,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -257,6 +258,32 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(result.passed for result in results) else EXIT_VERIFY_FAILED
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """``--tolerance``: a finite number of bits, at least 0."""
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
+    return value
+
+
+def _ensemble_size(text: str) -> float:
+    """``--ensemble-size``: a finite scale factor above 0."""
+    value = _finite(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be above 0, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process: parsing keeps no state in it."""
@@ -274,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument(
             "--tolerance",
-            type=float,
+            type=_tolerance,
             default=None,
-            help="override the discord-zero threshold (bits) where applicable",
+            help="override the discord-zero threshold (bits, finite, >= 0) where applicable",
         )
 
     p = sub.add_parser("coherence", help="net-coherence report for a state file")
@@ -303,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--ensemble-size",
-        type=float,
+        type=_ensemble_size,
         default=1.0,
-        help="scale factor on the default ensemble sizes",
+        help="scale factor (finite, > 0) on the default ensemble sizes",
     )
     common(p)
     p.set_defaults(func=cmd_verify)

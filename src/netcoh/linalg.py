@@ -131,10 +131,6 @@ class DensityMatrix:
         w.setflags(write=False)
         return w
 
-    @property
-    def subsystem_count(self) -> int:
-        return len(self.dims)
-
     @classmethod
     def from_vector(cls, psi: np.ndarray, dims: Sequence[int]) -> "DensityMatrix":
         """Projector onto a (normalized) pure state vector."""

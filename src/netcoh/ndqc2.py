@@ -12,10 +12,12 @@ Philox substreams so runs are bit-reproducible for a given seed.  Each shot
 is one uniform draw: a joint setting compares it with the cdf of its four
 outcome probabilities, which gives the draws and outcomes of
 ``Generator.choice``; a single-server setting compares it with the
-probability of +1.  A run takes at most ``MAX_SHOTS`` shots.  The dense
-full-system path cross-checks the closed form in ``control_output_state`` up
-to joint dimension 256 and in the tests; protocol runs sample from the
-closed form without it.
+probability of +1.  A run takes at most ``MAX_SHOTS`` shots.  The
+estimate, its error bar, the servers' statistics messages and the privacy
+audit all read exact integer sums of the int8 outcomes (``_tally``), so no
+per-shot float copy is made.  The dense full-system path cross-checks the
+closed form in ``control_output_state`` up to joint dimension 256 and in the
+tests; protocol runs sample from the closed form without it.
 """
 
 from __future__ import annotations
@@ -55,9 +57,12 @@ DENSE_HARD_LIMIT = 4096
 
 TASK1_SETTINGS = (("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"))
 TASK2_SETTINGS = (("x", "x"), ("y", "y"), ("x", "y"), ("y", "x"))
+# Setting labels, in the order of the settings above.
+LABELS = {1: ("a:x", "a:y", "b:x", "b:y"), 2: ("xx", "yy", "xy", "yx")}
 
 BATCHES = 16
-# Largest run: sampling and estimating take about 100 MB per 10**7 shots.
+# Largest run.  Sampling and estimating peak at about 31 MB (task 1) and
+# 48 MB (task 2) per 10**7 shots under tracemalloc, mostly the uniforms.
 MAX_SHOTS = 10**8
 
 
@@ -286,6 +291,17 @@ class SettingRecord:
         arr = self.alice if self.alice is not None else self.bob
         return 0 if arr is None else int(arr.shape[0])
 
+    def side(self, server: str) -> tuple[str | None, np.ndarray | None]:
+        """(Pauli, outcomes) of "alice" or "bob"; Nones where it did not measure."""
+        return (self.pauli_a, self.alice) if server == "alice" else (self.pauli_b, self.bob)
+
+    def outcomes(self) -> np.ndarray:
+        """The setting's +1/-1 int8 outcomes: the product of the two sides
+        for a joint setting, the measuring side's own for a single one."""
+        if self.alice is not None and self.bob is not None:
+            return self.alice * self.bob
+        return self.alice if self.alice is not None else self.bob
+
 
 @dataclass(frozen=True)
 class MeasurementRecord:
@@ -370,73 +386,63 @@ def simulate_measurements(
         raise ValueError(f"shots must be at most {MAX_SHOTS}, got {shots}")
     settings = TASK1_SETTINGS if task == 1 else TASK2_SETTINGS
     counts = _split_shots(shots, len(settings))
-    records = []
     if task == 1:
-        marginals = {
-            "a": partial_trace(rho, (0,)).matrix,
-            "b": partial_trace(rho, (1,)).matrix,
-        }
-    for index, (spec_a, spec_b) in enumerate(settings):
+        marginals = {"a": partial_trace(rho, (0,)).matrix, "b": partial_trace(rho, (1,)).matrix}
+    records = []
+    for index, ((spec_a, spec_b), n, label) in enumerate(zip(settings, counts, LABELS[task])):
         gen = substream(seed, task, index)
-        n = counts[index]
-        if task == 1:
-            server, pauli = spec_a, spec_b
-            outcomes = _sample_single(marginals[server], pauli, n, gen)
-            records.append(
-                SettingRecord(
-                    label=f"{server}:{pauli}",
-                    pauli_a=pauli if server == "a" else None,
-                    pauli_b=pauli if server == "b" else None,
-                    alice=outcomes if server == "a" else None,
-                    bob=outcomes if server == "b" else None,
-                )
-            )
+        if task == 1:  # spec_a names the measuring server, spec_b its Pauli
+            outcomes = _sample_single(marginals[spec_a], spec_b, n, gen)
+            pauli_a, alice = (spec_b, outcomes) if spec_a == "a" else (None, None)
+            pauli_b, bob = (None, None) if spec_a == "a" else (spec_b, outcomes)
         else:
+            pauli_a, pauli_b = spec_a, spec_b
             alice, bob = _sample_joint(rho, spec_a, spec_b, n, gen)
-            records.append(
-                SettingRecord(
-                    label=f"{spec_a}{spec_b}", pauli_a=spec_a, pauli_b=spec_b, alice=alice, bob=bob
-                )
-            )
+        records.append(SettingRecord(label, pauli_a, pauli_b, alice, bob))
     return MeasurementRecord(task=task, shots=shots, settings=tuple(records))
 
 
-def _outcome_vector(record: SettingRecord) -> np.ndarray:
-    """The setting's +1/-1 outcomes as floats: the product of the two sides
-    for a joint setting, the measuring side's own for a single one."""
-    if record.alice is not None and record.bob is not None:
-        return (record.alice * record.bob).astype(float)
-    arr = record.alice if record.alice is not None else record.bob
-    return arr.astype(float)
+def _tally(outcomes: np.ndarray, n_slices: int = 1) -> tuple[list[int], list[int]]:
+    """Sums and sizes of +1/-1 int8 outcomes over ``n_slices`` consecutive
+    slices cut at ``np.linspace(0, n, n_slices + 1).astype(int)``.
+
+    Sums of +1/-1 are exact integers, so a mean sum / size is one correctly
+    rounded division: the mean of the outcomes as floats, in any order.
+    """
+    if not outcomes.size:
+        return [0] * n_slices, [0] * n_slices
+    edges = np.linspace(0, outcomes.size, n_slices + 1).astype(int)
+    return np.add.reduceat(outcomes, edges[:-1], dtype=np.int64).tolist(), np.diff(edges).tolist()
 
 
-def _combine(task: int, means: dict[str, float], signs: tuple[int, int]) -> complex:
+def _combine(task: int, means: Sequence[float], signs: tuple[int, int]) -> complex:
+    """The estimate from the four setting means, in ``LABELS[task]`` order."""
     if task == 2:
-        return complex(means["xx"] - means["yy"], means["xy"] + means["yx"])
-    side_a = complex(means["a:x"], means["a:y"])
-    side_b = complex(means["b:x"], means["b:y"])
-    return signs[0] * signs[1] * side_a * side_b
+        xx, yy, xy, yx = means
+        return complex(xx - yy, xy + yx)
+    ax, ay, bx, by = means
+    return signs[0] * signs[1] * complex(ax, ay) * complex(bx, by)
 
 
-def _moment_se_floor(record: MeasurementRecord, means: dict[str, float]) -> float:
+def _moment_se_floor(task: int, shots: Sequence[int], means: Sequence[float]) -> float:
     """Moment-propagation standard error with smoothed per-setting variances.
 
     Matches the true estimator error in healthy regimes and stays strictly
     positive for degenerate all-equal samples (where the batch scatter
     collapses to zero), which keeps the |estimate| <= 1 + 4 SE report
-    invariant meaningful at tiny shot counts.
+    invariant meaningful at tiny shot counts.  Settings are in
+    ``LABELS[task]`` order.
     """
-    setting_var = {}
-    for s in record.settings:
-        n = s.shots
-        smoothed = means[s.label] * n / (n + 2.0)
-        setting_var[s.label] = max(1.0 - smoothed * smoothed, 0.0) / n
-    if record.task == 2:
-        return math.sqrt(sum(setting_var.values()))
-    side_a = complex(means["a:x"], means["a:y"])
-    side_b = complex(means["b:x"], means["b:y"])
-    var_a = setting_var["a:x"] + setting_var["a:y"]
-    var_b = setting_var["b:x"] + setting_var["b:y"]
+    setting_var = []
+    for n, mean in zip(shots, means):
+        smoothed = mean * n / (n + 2.0)
+        setting_var.append(max(1.0 - smoothed * smoothed, 0.0) / n)
+    if task == 2:
+        return math.sqrt(sum(setting_var))
+    side_a = complex(means[0], means[1])
+    side_b = complex(means[2], means[3])
+    var_a = setting_var[0] + setting_var[1]
+    var_b = setting_var[2] + setting_var[3]
     return math.sqrt(abs(side_b) ** 2 * var_a + abs(side_a) ** 2 * var_b + var_a * var_b)
 
 
@@ -447,26 +453,22 @@ def estimate_from_record(
 
     The empirical error is the scatter of the estimator over 16 disjoint
     shot batches, scaled to the full sample, with a moment-propagation floor
-    so it never degenerates to zero on constant samples.
+    so it never degenerates to zero on constant samples.  One tally per
+    setting gives both the full and the batch means.
     """
-    outcomes = {s.label: _outcome_vector(s) for s in record.settings}
-    full_means = {label: float(np.mean(v)) if v.size else 0.0 for label, v in outcomes.items()}
-    estimate = _combine(record.task, full_means, signs)
-    floor = _moment_se_floor(record, full_means)
-
+    by_label = {s.label: s for s in record.settings}
+    settings = [by_label[label] for label in LABELS[record.task]]
     n_batches = min(BATCHES, min(s.shots for s in record.settings))
+    tallies = [_tally(s.outcomes(), max(n_batches, 1)) for s in settings]
+    shots = [s.shots for s in settings]
+    means = [sum(sums) / n if n else 0.0 for (sums, _), n in zip(tallies, shots)]
+    estimate = _combine(record.task, means, signs)
+    floor = _moment_se_floor(record.task, shots, means)
     if n_batches < 2:
         return estimate, floor
-    # Sums of +1/-1 are exact in any order, so these equal per-slice means.
-    batch_means = {}
-    for label, v in outcomes.items():
-        edges = np.linspace(0, v.size, n_batches + 1).astype(int)
-        batch_means[label] = (np.add.reduceat(v, edges[:-1]) / np.diff(edges)).tolist()
+    batch_means = [[total / size for total, size in zip(*tally)] for tally in tallies]
     batch_estimates = np.array(
-        [
-            _combine(record.task, {label: m[k] for label, m in batch_means.items()}, signs)
-            for k in range(n_batches)
-        ]
+        [_combine(record.task, column, signs) for column in zip(*batch_means)]
     )
     centered = batch_estimates - batch_estimates.mean()
     variance = float(np.sum(np.abs(centered) ** 2) / (n_batches - 1))
@@ -677,16 +679,12 @@ def _network_payload(task: int, shots: int, u: np.ndarray | GateNetwork, side: s
 def _statistics_payload(record: MeasurementRecord, server: str) -> dict:
     rows = []
     for s in record.settings:
-        arr = s.alice if server == "alice" else s.bob
+        _, arr = s.side(server)
         if arr is None:
             continue
-        rows.append(
-            {
-                "setting": s.label,
-                "n_plus": int(np.sum(arr > 0)),
-                "n_minus": int(np.sum(arr < 0)),
-            }
-        )
+        (total,), (n,) = _tally(arr)
+        n_minus = (n - total) // 2
+        rows.append({"setting": s.label, "n_plus": n - n_minus, "n_minus": n_minus})
     return {"server": server, "outcomes": rows}
 
 
@@ -824,18 +822,17 @@ def privacy_audit(records: Sequence[MeasurementRecord]) -> PrivacyAudit:
     for run_index, record in enumerate(records):
         for server in ("alice", "bob"):
             for pauli in ("x", "y"):
-                chunks = []
+                total = n = 0
                 for s in record.settings:
-                    server_pauli = s.pauli_a if server == "alice" else s.pauli_b
-                    arr = s.alice if server == "alice" else s.bob
+                    server_pauli, arr = s.side(server)
                     if server_pauli == pauli and arr is not None:
-                        chunks.append(arr)
-                n = int(sum(c.shape[0] for c in chunks))
+                        (sum_,), (size,) = _tally(arr)
+                        total, n = total + sum_, n + size
                 if n == 0:
                     insufficient = True
                     checks.append(MarginalCheck(run_index, server, pauli, 0, 0.0, 0.0))
                     continue
-                mean = float(np.concatenate(chunks).astype(float).mean())
+                mean = total / n
                 z = abs(mean) * math.sqrt(n)
                 checks.append(MarginalCheck(run_index, server, pauli, n, mean, z))
     if insufficient:

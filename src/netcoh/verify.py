@@ -91,6 +91,8 @@ class SuiteResult:
 
 def _families(suite: str, scale: float) -> tuple[tuple[str, int], ...]:
     """The suite's (family, count) pairs with each count scaled, at least 1."""
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"ensemble scale must be a finite number above 0, got {scale!r}")
     return tuple((family, max(1, int(round(n * scale)))) for family, n in _ENSEMBLES[suite])
 
 

@@ -117,6 +117,18 @@ class TestIsOneWayQC:
         assert not is_one_way_qc(bell_state(), B_TO_A, seed=33)
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1e-9])
+def test_non_finite_or_negative_threshold_fails_closed(threshold):
+    rho = cc_state(np.array([[0.4, 0.1], [0.2, 0.3]]), haar_unitary(2, substream(35, 0)), np.eye(2))
+    with pytest.raises(ValueError, match="threshold"):
+        classify(rho, Z2, threshold=threshold)
+    with pytest.raises(ValueError, match="threshold"):
+        is_cc(rho, threshold=threshold)
+    for direction in (A_TO_B, B_TO_A):
+        with pytest.raises(ValueError, match="threshold"):
+            is_one_way_qc(rho, direction, threshold=threshold)
+
+
 class TestPPT:
     def test_correlated_mixture_is_separable(self):
         ok, _ = ppt_separability(two_control_mixture())

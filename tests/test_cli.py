@@ -11,6 +11,7 @@ from netcoh.cli import main, worker_count
 from netcoh.linalg import MAX_GATE_QUBITS, matrix_to_json
 from netcoh.ndqc2 import MAX_SHOTS
 from netcoh.reporting import canonical_dumps
+from netcoh.verify import run_suite
 
 
 def write_state(path, rho, dims=None):
@@ -141,6 +142,20 @@ class TestClassifyCommand:
     def test_unsupported_dims_exit_2(self, tmp_path):
         path = write_state(tmp_path / "big.json", np.eye(8, dtype=complex) / 8, (2, 4))
         assert main(["classify", path]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-12", "tiny"])
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, value):
+        # A NaN threshold once passed every "discord > threshold" test, so a
+        # rotated CC state came out with is_cc true and is_qc_a_to_b false.
+        path = write_state(tmp_path / "cc.json", _golden_cc_state(), (2, 2))
+        assert main(["classify", path, f"--tolerance={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--tolerance" in captured.err
+
+    def test_zero_tolerance_is_accepted(self, control_state_file, capsys):
+        assert main(["classify", control_state_file, "--tolerance", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["is_qc_a_to_b"] is payload["is_qc_b_to_a"] is True
 
 
 class TestNdqc2Command:
@@ -305,6 +320,19 @@ class TestVerifyCommand:
 
     def test_unknown_suite_exits_2(self):
         assert main(["verify", "not-a-suite"]) == 2
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "-0.0", "1e999", "half"])
+    def test_bad_ensemble_size_exits_2(self, capsys, value):
+        # Rejected while parsing: no suite runs, and no traceback is printed.
+        assert main(["verify", "thm4", f"--ensemble-size={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--ensemble-size" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_run_suite_rejects_bad_scale(self, scale):
+        with pytest.raises(ValueError, match="ensemble scale"):
+            run_suite("privacy", 7, scale)
 
     def test_json_rows_export(self, tmp_path):
         out = tmp_path / "verify"

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -480,12 +481,36 @@ def _reference_setting_mean(record, lo=None, hi=None):
     return float(np.mean(data)) if data.size else 0.0
 
 
+def _reference_combine(task, means, signs):
+    if task == 2:
+        return complex(means["xx"] - means["yy"], means["xy"] + means["yx"])
+    side_a = complex(means["a:x"], means["a:y"])
+    side_b = complex(means["b:x"], means["b:y"])
+    return signs[0] * signs[1] * side_a * side_b
+
+
+def _reference_moment_se_floor(record, means):
+    setting_var = {}
+    for s in record.settings:
+        n = s.shots
+        smoothed = means[s.label] * n / (n + 2.0)
+        setting_var[s.label] = max(1.0 - smoothed * smoothed, 0.0) / n
+    if record.task == 2:
+        return math.sqrt(sum(setting_var.values()))
+    side_a = complex(means["a:x"], means["a:y"])
+    side_b = complex(means["b:x"], means["b:y"])
+    var_a = setting_var["a:x"] + setting_var["a:y"]
+    var_b = setting_var["b:x"] + setting_var["b:y"]
+    return math.sqrt(abs(side_b) ** 2 * var_a + abs(side_a) ** 2 * var_b + var_a * var_b)
+
+
 def _reference_estimate(record, signs=(1, 1)):
-    """The estimator as a per-batch loop over slices: one product vector and
-    one set of batch edges per setting and batch."""
+    """The estimator as a per-batch loop over slices of float outcome
+    vectors, with label-keyed means: one product vector and one set of batch
+    edges per setting and batch."""
     full_means = {s.label: _reference_setting_mean(s) for s in record.settings}
-    estimate = ndqc2._combine(record.task, full_means, signs)
-    floor = ndqc2._moment_se_floor(record, full_means)
+    estimate = _reference_combine(record.task, full_means, signs)
+    floor = _reference_moment_se_floor(record, full_means)
     n_batches = min(ndqc2.BATCHES, min(s.shots for s in record.settings))
     if n_batches < 2:
         return estimate, floor
@@ -495,7 +520,7 @@ def _reference_estimate(record, signs=(1, 1)):
         for s in record.settings:
             edges = np.linspace(0, s.shots, n_batches + 1).astype(int)
             means[s.label] = _reference_setting_mean(s, edges[k], edges[k + 1])
-        batch_estimates.append(ndqc2._combine(record.task, means, signs))
+        batch_estimates.append(_reference_combine(record.task, means, signs))
     batch_estimates = np.array(batch_estimates)
     centered = batch_estimates - batch_estimates.mean()
     variance = float(np.sum(np.abs(centered) ** 2) / (n_batches - 1))
@@ -520,10 +545,17 @@ P_PLUS = st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0)
 @example(task=2, signs=(1, -1), shots=4003, p_plus=[1.0] * 8, seed=2)  # constant outcomes
 @example(task=1, signs=(1, 1), shots=5000, p_plus=[0.0, 1.0] * 4, seed=3)
 def test_estimator_matches_per_batch_loop_oracle(task, signs, shots, p_plus, seed):
-    gen = np.random.default_rng(seed)
+    counts = ndqc2._split_shots(shots, 4)
+    record = _random_record(task, counts, p_plus, np.random.default_rng(seed))
+    assert estimate_from_record(record, signs) == _reference_estimate(record, signs)
+
+
+def _random_record(task, counts, p_plus, gen):
+    """A record with ``counts[k]`` shots in setting k, each side's outcome
+    +1 with probability ``p_plus[2k]`` (Alice) or ``p_plus[2k + 1]`` (Bob)."""
     settings_ = ndqc2.TASK1_SETTINGS if task == 1 else ndqc2.TASK2_SETTINGS
     records = []
-    for index, ((spec_a, spec_b), n) in enumerate(zip(settings_, ndqc2._split_shots(shots, 4))):
+    for index, ((spec_a, spec_b), n) in enumerate(zip(settings_, counts)):
         alice, bob = (
             np.where(gen.random(n) < p, 1, -1).astype(np.int8)
             for p in p_plus[2 * index : 2 * index + 2]
@@ -541,8 +573,83 @@ def test_estimator_matches_per_batch_loop_oracle(task, signs, shots, p_plus, see
             )
         else:
             records.append(SettingRecord(f"{spec_a}{spec_b}", spec_a, spec_b, alice, bob))
-    record = MeasurementRecord(task=task, shots=shots, settings=tuple(records))
-    assert estimate_from_record(record, signs) == _reference_estimate(record, signs)
+    return MeasurementRecord(task=task, shots=sum(counts), settings=tuple(records))
+
+
+# ---------------------------------------------------------------------------
+# Statistics and audit oracle: the servers' messages and the privacy audit
+# against copies of the boolean-count and concatenate-then-mean code they
+# replaced, which must agree exactly.
+
+
+def _reference_statistics_payload(record, server):
+    rows = []
+    for s in record.settings:
+        arr = s.alice if server == "alice" else s.bob
+        if arr is None:
+            continue
+        rows.append(
+            {"setting": s.label, "n_plus": int(np.sum(arr > 0)), "n_minus": int(np.sum(arr < 0))}
+        )
+    return {"server": server, "outcomes": rows}
+
+
+def _reference_audit(records):
+    checks = []
+    for run_index, record in enumerate(records):
+        for server in ("alice", "bob"):
+            for pauli in ("x", "y"):
+                chunks = []
+                for s in record.settings:
+                    server_pauli = s.pauli_a if server == "alice" else s.pauli_b
+                    arr = s.alice if server == "alice" else s.bob
+                    if server_pauli == pauli and arr is not None:
+                        chunks.append(arr)
+                n = int(sum(c.shape[0] for c in chunks))
+                if n == 0:
+                    checks.append(ndqc2.MarginalCheck(run_index, server, pauli, 0, 0.0, 0.0))
+                    continue
+                mean = float(np.concatenate(chunks).astype(float).mean())
+                z = abs(mean) * math.sqrt(n)
+                checks.append(ndqc2.MarginalCheck(run_index, server, pauli, n, mean, z))
+    if any(c.shots == 0 for c in checks):
+        verdict = "insufficient data"
+    elif any(c.z_score > ndqc2.AUDIT_Z_LIMIT for c in checks):
+        verdict = "leak detected"
+    else:
+        verdict = "pass"
+    return ndqc2.PrivacyAudit(verdict, tuple(checks))
+
+
+# Shots per setting, with empty settings.
+SETTING_COUNTS = st.lists(
+    st.sampled_from([0, 1]) | st.integers(0, 40) | st.integers(0, 5000), min_size=4, max_size=4
+)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(
+    runs=st.lists(
+        st.tuples(
+            st.sampled_from([1, 2]), SETTING_COUNTS, st.lists(P_PLUS, min_size=8, max_size=8)
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(runs=[(2, [0, 0, 0, 0], [0.5] * 8)], seed=0)  # every setting empty
+@example(runs=[(1, [3, 0, 5, 0], [1.0] * 8)], seed=1)  # constant, some empty
+@example(runs=[(2, [4000, 4000, 1, 1], [0.0] * 8), (1, [7, 7, 7, 7], [1.0] * 8)], seed=2)
+def test_statistics_and_audit_match_reference(runs, seed):
+    gen = np.random.default_rng(seed)
+    records = [_random_record(task, counts, p_plus, gen) for task, counts, p_plus in runs]
+    for record in records:
+        for server in ("alice", "bob"):
+            payload = ndqc2._statistics_payload(record, server)
+            assert payload == _reference_statistics_payload(record, server)
+            assert all(type(r["n_plus"]) is type(r["n_minus"]) is int for r in payload["outcomes"])
+    assert privacy_audit(records) == _reference_audit(records)
 
 
 # ---------------------------------------------------------------------------
@@ -755,3 +862,17 @@ def test_record_bytes_pinned(task, signs, seed):
                 assert arr.dtype == np.int8
                 digest.update(arr.tobytes())
     assert digest.hexdigest() == GOLDEN_RECORD_SHA256[task, signs, seed]
+
+
+def test_estimator_peak_memory_per_shot():
+    # The estimator tallies the int8 outcomes as integers: no float64 copy
+    # of a setting (8 bytes per shot) is made.
+    shots = 10**6
+    record = simulate_measurements(2, control_output_state(2, U_PHASE_A, U_PHASE_B), shots, 3)
+    tracemalloc.start()
+    try:
+        estimate_from_record(record)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * shots

@@ -298,13 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
         p.add_argument("--out", help="directory for JSON/CSV reports and the run manifest")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument(
-            "--tolerance",
-            type=_tolerance,
-            default=None,
-            help="override the discord-zero threshold (bits, finite, >= 0) where applicable",
-        )
 
     p = sub.add_parser("coherence", help="net-coherence report for a state file")
     p.add_argument("state", help="density-matrix JSON file")
@@ -316,6 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="correlation-hierarchy verdict for a state file")
     p.add_argument("state")
     p.add_argument("--basis", help="'computational' (default) or a basis JSON file")
+    p.add_argument(
+        "--tolerance",
+        type=_tolerance,
+        default=None,
+        help="override the discord-zero threshold (bits, finite, >= 0)",
+    )
     common(p)
     p.set_defaults(func=cmd_classify)
 
@@ -334,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="scale factor (finite, > 0) on the default ensemble sizes",
     )
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
     p.set_defaults(func=cmd_verify)
     return parser

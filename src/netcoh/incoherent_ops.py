@@ -9,20 +9,21 @@ expressed in that basis frame before testing sparsity patterns.  Entries of
 magnitude at most 1e-10 are treated as structural zeros, matching the
 package-wide identity tolerance.
 
-The checks are array code.  A channel's K operators go into the basis frame
-as one (K, d, d) stack, and the sparsity tests take one support mask over
-the whole stack; each witness is the first hit in operator, then column (or
-row) order, found by ``argmax`` over the flattened mask.  The matrix-unit
-test still visits one operator at a time, so it can stop at the first that
-fails: for F it forms the d x d x d products F_ak conj(F_bl) with a = b and
-with k = l, which bounds its working memory at O(d^3) per operator, not
-O(K d^3) per channel.  Kraus sets from ``embed_classical`` and
-``sandwich_dephase`` are built as one stack of basis outer products.
+A channel is held as one read-only complex (K, d, d) stack of its Kraus
+operators, and the checks are array code over it: the sparsity tests take
+one support mask over the stack in the basis frame, and each witness is the
+first hit in operator, then column (or row) order (``argmax`` over the
+flattened mask).  The matrix-unit test visits one operator at a time, so it
+can stop at the first that fails: for F it forms the d x d x d products
+F_ak conj(F_bl) with a = b and with k = l, which bounds its working memory
+at O(d^3) per operator, not O(K d^3) per channel.  ``embed_classical`` and
+``sandwich_dephase`` stack basis outer products into their Kraus sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .linalg import (
     ATOL_SPECTRAL,
     DensityMatrix,
     DimensionMismatchError,
-    as_square_matrix,
     check_finite,
     matrix_from_json,
     matrix_to_json,
@@ -43,38 +43,36 @@ PRUNE_NORM = 1e-12
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Finite Kraus set with a completeness certificate.
+    """Finite Kraus set with a completeness certificate, held as a read-only
+    complex (K, d, d) copy of the operators given (a sequence or a stack).
 
     Invariant: || sum_i F_i^dag F_i - I ||_max <= 1e-9, which makes the
     channel trace preserving to the same tolerance.
     """
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     def __post_init__(self):
-        if not self.kraus:
+        try:
+            ops = np.array(self.kraus, dtype=complex)
+        except ValueError as exc:
+            raise DimensionMismatchError(f"Kraus operators must form one array: {exc}") from exc
+        if ops.size == 0:
             raise ValueError("a channel needs at least one Kraus operator")
-        mats = []
-        dim = None
-        for k, f in enumerate(self.kraus):
-            m = as_square_matrix(f)
-            check_finite(m, f"F_{k}")
-            if dim is None:
-                dim = m.shape[0]
-            elif m.shape[0] != dim:
-                raise DimensionMismatchError("Kraus operators must share one dimension")
-            m = m.copy()
-            m.setflags(write=False)
-            mats.append(m)
-        total = sum(m.conj().T @ m for m in mats)
-        err = float(np.max(np.abs(total - np.eye(dim))))
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise DimensionMismatchError(f"expected a (K, d, d) Kraus stack, got {ops.shape}")
+        check_finite(ops, "F")
+        # reduce adds in operator order, as a loop does; sum(axis=0) may not.
+        total = reduce(np.add, ops.conj().transpose(0, 2, 1) @ ops)
+        err = float(np.max(np.abs(total - np.eye(ops.shape[1]))))
         if not err <= ATOL_SPECTRAL:  # fails on NaN too
             raise ValueError(f"Kraus completeness violated: ||sum F'F - I||_max = {err:.3e}")
-        object.__setattr__(self, "kraus", tuple(mats))
+        ops.setflags(write=False)
+        object.__setattr__(self, "kraus", ops)
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
     @classmethod
     def unitary(cls, u: np.ndarray) -> "KrausChannel":
@@ -84,15 +82,16 @@ class KrausChannel:
 def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     if channel.dim != rho.dim:
         raise DimensionMismatchError(f"channel dim {channel.dim} != state dim {rho.dim}")
-    out = sum(f @ rho.matrix @ f.conj().T for f in channel.kraus)
+    out = reduce(np.add, channel.kraus @ rho.matrix @ channel.kraus.conj().transpose(0, 2, 1))
     return DensityMatrix(out, rho.dims)
 
 
 def compose_channels(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
-    """Channel applying ``inner`` first, then ``outer``."""
+    """Channel applying ``inner`` first, then ``outer``; outer-major operator order."""
     if outer.dim != inner.dim:
         raise DimensionMismatchError("cannot compose channels of different dimension")
-    return KrausChannel(tuple(f @ g for f in outer.kraus for g in inner.kraus))
+    d = outer.dim
+    return KrausChannel((outer.kraus[:, None] @ inner.kraus[None]).reshape(-1, d, d))
 
 
 def _in_frame(channel: KrausChannel, basis: ProductBasis) -> np.ndarray:
@@ -100,7 +99,7 @@ def _in_frame(channel: KrausChannel, basis: ProductBasis) -> np.ndarray:
     if channel.dim != basis.dim:
         raise DimensionMismatchError(f"channel dim {channel.dim} != basis dim {basis.dim}")
     b = basis.matrix
-    return b.conj().T @ np.stack(channel.kraus) @ b
+    return b.conj().T @ channel.kraus @ b
 
 
 @dataclass(frozen=True)
@@ -254,7 +253,7 @@ def embed_classical(g: StochasticMatrix, basis: ProductBasis) -> KrausChannel:
         raise DimensionMismatchError(f"stochastic dim {g.dim} != basis dim {basis.dim}")
     rows, cols = np.nonzero(g.matrix > 0.0)
     weights = np.sqrt(g.matrix[rows, cols])[:, None, None]
-    return KrausChannel(tuple(weights * _basis_units(basis.matrix, rows, cols)))
+    return KrausChannel(weights * _basis_units(basis.matrix, rows, cols))
 
 
 def extract_classical(channel: KrausChannel, basis: ProductBasis) -> StochasticMatrix:
@@ -291,7 +290,7 @@ def sandwich_dephase(inner: KrausChannel, basis: ProductBasis) -> KrausChannel:
     frames = _in_frame(inner, basis)
     i, rows, cols = np.nonzero(np.abs(frames) > PRUNE_NORM)
     coeffs = frames[i, rows, cols][:, None, None]
-    return KrausChannel(tuple(coeffs * _basis_units(basis.matrix, rows, cols)))
+    return KrausChannel(coeffs * _basis_units(basis.matrix, rows, cols))
 
 
 def channel_to_json(channel: KrausChannel) -> list[dict]:
@@ -299,4 +298,4 @@ def channel_to_json(channel: KrausChannel) -> list[dict]:
 
 
 def channel_from_json(objs: list[dict]) -> KrausChannel:
-    return KrausChannel(tuple(matrix_from_json(o) for o in objs))
+    return KrausChannel([matrix_from_json(o) for o in objs])

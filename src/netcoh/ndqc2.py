@@ -454,14 +454,19 @@ def estimate_from_record(
     The empirical error is the scatter of the estimator over 16 disjoint
     shot batches, scaled to the full sample, with a moment-propagation floor
     so it never degenerates to zero on constant samples.  One tally per
-    setting gives both the full and the batch means.
+    setting gives both the full and the batch means.  The record must hold
+    the settings ``LABELS[task]`` in that order, each with at least one shot.
     """
-    by_label = {s.label: s for s in record.settings}
-    settings = [by_label[label] for label in LABELS[record.task]]
-    n_batches = min(BATCHES, min(s.shots for s in record.settings))
-    tallies = [_tally(s.outcomes(), max(n_batches, 1)) for s in settings]
+    settings = record.settings
+    labels = tuple(s.label for s in settings)
+    if labels != LABELS.get(record.task):
+        raise ValueError(f"task {record.task!r} record has settings {labels}")
     shots = [s.shots for s in settings]
-    means = [sum(sums) / n if n else 0.0 for (sums, _), n in zip(tallies, shots)]
+    if min(shots) < 1:
+        raise ValueError(f"every setting needs at least one shot, got {shots}")
+    n_batches = min(BATCHES, min(shots))
+    tallies = [_tally(s.outcomes(), n_batches) for s in settings]
+    means = [sum(sums) / n for (sums, _), n in zip(tallies, shots)]
     estimate = _combine(record.task, means, signs)
     floor = _moment_se_floor(record.task, shots, means)
     if n_batches < 2:

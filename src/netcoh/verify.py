@@ -66,6 +66,10 @@ _ENSEMBLES = {
     "privacy": (("task2", 50),),
 }
 
+# Largest scaled family count; a larger ``--ensemble-size`` is refused
+# before any instance runs.
+MAX_FAMILY_SIZE = 10**6
+
 # Fixed ensemble parameters that ``--ensemble-size`` does not scale.
 _THM5_BASES = 20  # product bases sampled per thm5 state
 _THM6_BASES = 50  # product bases sampled per discordant thm6 state
@@ -90,9 +94,16 @@ class SuiteResult:
 
 
 def _families(suite: str, scale: float) -> tuple[tuple[str, int], ...]:
-    """The suite's (family, count) pairs with each count scaled, at least 1."""
+    """The suite's (family, count) pairs with each count scaled, at least 1
+    and at most ``MAX_FAMILY_SIZE``."""
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"ensemble scale must be a finite number above 0, got {scale!r}")
+    for family, n in _ENSEMBLES[suite]:
+        if n * scale > MAX_FAMILY_SIZE:
+            raise ValueError(
+                f"ensemble scale {scale!r} puts {suite} family {family!r}"
+                f" above {MAX_FAMILY_SIZE} instances"
+            )
     return tuple((family, max(1, int(round(n * scale)))) for family, n in _ENSEMBLES[suite])
 
 
@@ -361,7 +372,7 @@ def _random_incoherent_channel(d: int, gen) -> iops.KrausChannel:
                 comp = np.zeros((d, d), dtype=complex)
                 comp[int(gen.integers(d)), group] = np.sqrt(lam[m]) * vec[:, m].conj()
                 members.append(comp)
-    return iops.KrausChannel(tuple(members))
+    return iops.KrausChannel(members)
 
 
 def _permutation_channel(d: int, gen, basis: ProductBasis) -> iops.KrausChannel:
@@ -383,14 +394,14 @@ def _lemma1_row(seed: int, _family: str, i: int) -> dict:
         channel = _random_incoherent_channel(d, gen)
         if rotated:
             b = basis.matrix
-            channel = iops.KrausChannel(tuple(b @ f @ b.conj().T for f in channel.kraus))
+            channel = iops.KrausChannel(b @ channel.kraus @ b.conj().T)
     elif family == 1:
         channel = iops.KrausChannel.unitary(haar_unitary(d, gen))
     elif family == 2:
         channel = _permutation_channel(d, gen, basis)
     else:
         b = basis.matrix
-        channel = iops.KrausChannel(tuple(np.outer(b[:, k], b[:, k].conj()) for k in range(d)))
+        channel = iops.KrausChannel([np.outer(b[:, k], b[:, k].conj()) for k in range(d)])
     incoherent, _ = iops.is_incoherent(channel, basis)
     strict, _ = iops.is_strict_incoherent(channel, basis)  # raises on test disagreement
     return {

@@ -11,7 +11,7 @@ from netcoh.cli import main, worker_count
 from netcoh.linalg import MAX_GATE_QUBITS, matrix_to_json
 from netcoh.ndqc2 import MAX_SHOTS
 from netcoh.reporting import canonical_dumps
-from netcoh.verify import run_suite
+from netcoh.verify import MAX_FAMILY_SIZE, _families, run_suite
 
 
 def write_state(path, rho, dims=None):
@@ -334,6 +334,18 @@ class TestVerifyCommand:
         with pytest.raises(ValueError, match="ensemble scale"):
             run_suite("privacy", 7, scale)
 
+    def test_huge_ensemble_size_exits_2(self, capsys):
+        # Refused before any instance runs; it once ran until killed.
+        assert main(["verify", "privacy", "--ensemble-size", "1e300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"above {MAX_FAMILY_SIZE} instances" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_family_size_cap_boundary(self):
+        assert dict(_families("thm4", 1000.0))["2x2"] == MAX_FAMILY_SIZE
+        with pytest.raises(ValueError, match="'2x2' above"):
+            _families("thm4", 1000.01)
+
     def test_json_rows_export(self, tmp_path):
         out = tmp_path / "verify"
         assert main(["verify", "isomorphism", "--ensemble-size", "0.05", "--out", str(out)]) == 0
@@ -370,6 +382,21 @@ class TestVerifyCommand:
         monkeypatch.setenv("NETCOH_WORKERS", "2")
         assert main(["verify", "thm4", "--ensemble-size", "0.04", "--out", str(out2)]) == 0
         assert (out1 / "thm4.json").read_bytes() == (out2 / "thm4.json").read_bytes()
+
+
+def test_options_are_refused_where_unread(tmp_path, capsys, control_state_file):
+    # Only classify reads --tolerance and only verify reads --format; the
+    # other commands once accepted both and ignored them.
+    desc = tmp_path / "run.json"
+    eye = matrix_to_json(np.eye(2))
+    desc.write_text(json.dumps({"task": 2, "shots": 400, "unitary_a": eye, "unitary_b": eye}))
+    assert main(["coherence", control_state_file]) == 0
+    assert main(["ndqc2", str(desc)]) == 0
+    capsys.readouterr()
+    assert main(["coherence", control_state_file, "--tolerance", "0"]) == 2
+    assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+    assert main(["ndqc2", str(desc), "--format", "csv"]) == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 def _golden_mixed_state(d: int) -> np.ndarray:

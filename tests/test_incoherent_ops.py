@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import HADAMARD, SQRT_HALF
@@ -25,7 +25,12 @@ from netcoh.incoherent_ops import (
     sandwich_dephase,
     usi_generators,
 )
-from netcoh.linalg import DensityMatrix, random_density_matrix
+from netcoh.linalg import (
+    ATOL_SPECTRAL,
+    DensityMatrix,
+    DimensionMismatchError,
+    random_density_matrix,
+)
 from netcoh.rng import haar_unitary, substream
 from netcoh.verify import _random_incoherent_channel
 
@@ -68,6 +73,33 @@ class TestKrausChannel:
         f[0, 0] = bad
         with pytest.raises(ValueError):
             KrausChannel((f,))
+
+    @pytest.mark.parametrize(
+        "kraus",
+        [
+            [np.eye(2), np.eye(3)],  # ragged
+            np.eye(2),  # a bare matrix, not a stack
+            np.zeros((2, 2, 3)),  # non-square operators
+        ],
+    )
+    def test_rejects_malformed_stacks(self, kraus):
+        with pytest.raises(DimensionMismatchError):
+            KrausChannel(kraus)
+
+    def test_names_the_non_finite_entry(self):
+        kraus = np.stack([np.eye(2), np.eye(2)]) * SQRT_HALF
+        kraus[1, 1, 0] = np.nan
+        with pytest.raises(ValueError, match=r"F\[1, 1, 0\] = \(nan"):
+            KrausChannel(kraus)
+
+    def test_holds_a_read_only_copy(self):
+        kraus = np.stack([np.eye(2), np.eye(2)]) * SQRT_HALF
+        channel = KrausChannel(kraus)
+        assert channel.kraus.shape == (2, 2, 2) and channel.kraus.dtype == complex
+        with pytest.raises(ValueError, match="read-only"):
+            channel.kraus[0, 0, 0] = 1.0
+        kraus[0, 0, 0] = 5.0
+        assert np.array_equal(channel.kraus, np.stack([np.eye(2), np.eye(2)]) * SQRT_HALF)
 
     def test_json_round_trip(self):
         again = channel_from_json(channel_to_json(PLUS_CHANNEL))
@@ -438,3 +470,57 @@ def test_array_checks_match_loop_oracle(d, family, rotated, seed, nudges):
     else:
         with pytest.raises(ArithmeticError):
             is_strict_incoherent(channel, basis)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the stacked sums and products against one loop over the operators,
+# summed in operator order.  They must agree bit for bit; at d = 1 a
+# pairwise ``sum(axis=0)`` over the stack would not.
+
+
+def _complete_stack(d, k, gen):
+    """K random operators scaled by S^(-1/2), S = sum_k G_k^dag G_k."""
+    g = gen.standard_normal((k, d, d)) + 1j * gen.standard_normal((k, d, d))
+    w, v = np.linalg.eigh(sum(m.conj().T @ m for m in g))
+    return list(g @ ((v / np.sqrt(w)) @ v.conj().T))
+
+
+def _loop_complete(ops):
+    total = sum(f.conj().T @ f for f in ops)
+    return float(np.max(np.abs(total - np.eye(total.shape[0])))) <= ATOL_SPECTRAL
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=150)
+@given(
+    d=st.integers(1, 8),
+    k_outer=st.integers(1, 64),
+    k_inner=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=1, k_outer=64, k_inner=64, seed=0)
+def test_stacked_arithmetic_matches_loop_oracle(d, k_outer, k_inner, seed):
+    gen = substream(seed, 26)
+    outer_ops = _complete_stack(d, k_outer, gen)
+    inner_ops = _complete_stack(d, k_inner, gen)
+    outer, inner = KrausChannel(outer_ops), KrausChannel(inner_ops)
+
+    rho = random_density_matrix((d,), gen)
+    expected = DensityMatrix(sum(f @ rho.matrix @ f.conj().T for f in outer_ops), (d,))
+    assert np.array_equal(apply_channel(outer, rho).matrix, expected.matrix)
+    composed = compose_channels(outer, inner)
+    assert np.array_equal(composed.kraus, np.stack([f @ g for f in outer_ops for g in inner_ops]))
+
+    # Completeness verdict at the tolerance edge: bisect the scale of the
+    # operators down to two adjacent floats the loop sum puts either side.
+    lo, hi = 1.0, 1.0 + 2e-9
+    assert _loop_complete([lo * f for f in outer_ops])
+    assert not _loop_complete([hi * f for f in outer_ops])
+    while np.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        if _loop_complete([mid * f for f in outer_ops]):
+            lo = mid
+        else:
+            hi = mid
+    KrausChannel([lo * f for f in outer_ops])
+    with pytest.raises(ValueError, match="completeness"):
+        KrausChannel([hi * f for f in outer_ops])

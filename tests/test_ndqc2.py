@@ -460,6 +460,36 @@ class TestEstimatorInternals:
         per_setting = (1.0 - (n / (n + 2.0)) ** 2) / n
         assert abs(se - math.sqrt(4 * per_setting)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            ("xx", "yy", "xy"),
+            ("xx", "yy", "xy", "xx"),
+            ("yy", "xx", "xy", "yx"),
+            ("a:x", "a:y", "b:x", "b:y"),
+        ],
+    )
+    def test_rejects_records_without_the_task_settings(self, labels):
+        ones = np.ones(8, dtype=np.int8)
+        settings_ = tuple(SettingRecord(label, "x", "x", ones, ones) for label in labels)
+        record = MeasurementRecord(task=2, shots=8 * len(labels), settings=settings_)
+        with pytest.raises(ValueError, match="settings"):
+            estimate_from_record(record)
+
+    def test_rejects_a_setting_without_shots(self):
+        ones = np.ones(8, dtype=np.int8)
+        empty = np.zeros(0, dtype=np.int8)
+        record = MeasurementRecord(
+            task=2,
+            shots=24,
+            settings=tuple(
+                SettingRecord(label, "x", "x", arr, arr)
+                for label, arr in zip(ndqc2.LABELS[2], (ones, ones, empty, ones))
+            ),
+        )
+        with pytest.raises(ValueError, match="at least one shot"):
+            estimate_from_record(record)
+
     def test_scatter_dominates_on_noisy_data(self):
         # With genuinely random outcomes the 16-batch scatter is the quoted
         # error and tracks the binomial scale 4/sqrt(M).

@@ -21,6 +21,7 @@ from .coherence import (
     basis_dependent_discord,
     dephase,
     minimize_discord,
+    minimize_discord_pair,
     mutual_information,
     net_global_coherence,
     rec,
@@ -81,6 +82,7 @@ __all__ = [
     "basis_dependent_discord",
     "dephase",
     "minimize_discord",
+    "minimize_discord_pair",
     "mutual_information",
     "net_global_coherence",
     "rec",

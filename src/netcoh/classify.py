@@ -21,6 +21,7 @@ from .coherence import (
     BIPARTITE_CUT,
     ProductBasis,
     minimize_discord,
+    minimize_discord_pair,
     net_global_coherence,
     require_bipartite,
 )
@@ -191,13 +192,12 @@ def classify(
 
     The state counts as quantum correlated iff its net global coherence in
     ``basis`` exceeds 1e-6 bits.  ``seed`` and ``restarts`` are passed to
-    ``minimize_discord``, which ignores them when the measured side is a
-    qubit, so a two-qubit verdict is the same for every seed.
+    ``minimize_discord_pair``, which ignores them when the measured side is
+    a qubit, so a two-qubit verdict is the same for every seed.
     """
     _require_threshold(threshold)
     require_bipartite(rho)
-    result_ab = minimize_discord(rho, A_TO_B, seed=seed, restarts=restarts)
-    result_ba = minimize_discord(rho, B_TO_A, seed=seed, restarts=restarts)
+    result_ab, result_ba = minimize_discord_pair(rho, seed=seed, restarts=restarts)
     discord_ab, discord_ba = result_ab[0], result_ba[0]
     cc, witness = _cc_witness(rho, result_ab, result_ba, threshold)
     ppt, _min_eig = ppt_separability(rho)

@@ -150,13 +150,23 @@ def dephase(
 
 
 def entropy_of_probabilities(p: np.ndarray) -> float:
-    """Shannon entropy in bits with 0 log 0 := 0 and roundoff clamping."""
+    """Shannon entropy in bits with 0 log 0 := 0 and roundoff clamping.
+
+    Fails closed: a NaN entry (whose comparisons are all false) or an entry
+    below the clamp floor raises ``ValueError``, and so does an infinite
+    entry, through the non-finite sum it leaves.
+    """
     p = np.real(np.asarray(p, dtype=complex))
-    if np.min(p) < EIGENVALUE_CLAMP:
-        raise ValueError(f"probability {np.min(p):.3e} below clamp floor {EIGENVALUE_CLAMP:.1e}")
+    if not np.min(p) >= EIGENVALUE_CLAMP:
+        raise ValueError(
+            f"probability {np.min(p):.3e} is NaN or below clamp floor {EIGENVALUE_CLAMP:.1e}"
+        )
     p = np.clip(p, 0.0, None)
     nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
+    entropy = float(-np.sum(nz * np.log2(nz)))
+    if not math.isfinite(entropy):
+        raise ValueError(f"entropy {entropy} of probabilities is not finite")
+    return entropy
 
 
 def _eigvals_2x2(m: np.ndarray) -> np.ndarray:
@@ -327,7 +337,10 @@ def _conditional_blocks(
 
 
 def _discord_from_blocks(
-    weights: np.ndarray, blocks: np.ndarray, mutual_info_value: float, entropy_other: float
+    weights: np.ndarray,
+    blocks: np.ndarray,
+    mutual_info_value: float,
+    entropy_other: float | np.ndarray,
 ) -> np.ndarray:
     """I(rho) - I(dephased-on-side rho) from the conditional blocks.
 
@@ -337,7 +350,8 @@ def _discord_from_blocks(
     The mutual information of the dephased state thus collapses to
     entropy_other - sum_i p_i S(cond_i / p_i).  ``blocks`` has shape
     (..., outcomes, d_other, d_other) and ``weights`` (..., outcomes); the
-    result has the leading batch shape.  Qubit-sized (2x2) blocks take their
+    result has the leading batch shape, against which ``entropy_other`` may
+    also be an array that broadcasts.  Qubit-sized (2x2) blocks take their
     spectra in closed form, larger ones from ``np.linalg.eigvalsh``.
     """
     spectra = _eigvals_2x2(blocks) if blocks.shape[-1] == 2 else np.linalg.eigvalsh(blocks)
@@ -440,7 +454,9 @@ def minimize_discord(
     whose best point is on its edge moves without shrinking.  The angles
     are taken in the principal-axis frame of n -> sum_k n_k T_k.  The
     lowest point, or the lower of the two first bases if that is no higher,
-    is the result; its basis is the eigenbasis of n.sigma.
+    is the result; its basis is the eigenbasis of n.sigma.  Both directions
+    of a two-qubit verdict run in one batched search through
+    ``minimize_discord_pair``, with the same results as two calls here.
 
     A larger measured side is searched over a seed unitary times a product
     of complex Givens rotations.  The two first bases are joined by
@@ -460,33 +476,83 @@ def minimize_discord(
     best value found; no constructive basis search is attempted.
     """
     require_bipartite(rho)
-    side = _measured_side(direction)
+    (result,) = _minimize_sides(rho, (_measured_side(direction),), seed, restarts)
+    return result
+
+
+def minimize_discord_pair(
+    rho: DensityMatrix, *, seed: int = DEFAULT_SEED, restarts: int = 32
+) -> tuple[tuple[float, ProductBasis], tuple[float, ProductBasis]]:
+    """``minimize_discord`` in both directions: (A -> B result, B -> A result).
+
+    The mutual information and both marginals are computed once, and every
+    qubit measured side that its first bases do not settle joins one Bloch
+    search, so a two-qubit state pays for one search instead of two.  Each
+    result is bit for bit the one ``minimize_discord`` returns.
+    """
+    require_bipartite(rho)
+    result_ab, result_ba = _minimize_sides(rho, (0, 1), seed, restarts)
+    return result_ab, result_ba
+
+
+def _minimize_sides(
+    rho: DensityMatrix, sides: tuple[int, ...], seed: int, restarts: int
+) -> list[tuple[float, ProductBasis]]:
+    """``minimize_discord``'s result for each measured side in ``sides``."""
+    marginals = [partial_trace(rho, (k,)) for k in (0, 1)]
+    entropies = [von_neumann_entropy(marg) for marg in marginals]
+    mi = entropies[0] + entropies[1] - von_neumann_entropy(rho)  # mutual_information's sum
+    results = {}
+    pending = {}  # qubit side -> its first bases and their values
+    for side in sides:
+        d_m, ent_other = rho.dims[side], entropies[1 - side]
+        # For zero-discord states every basis may reach the floor, and this one
+        # also diagonalizes the measured marginal (what witnesses downstream want).
+        _, marginal_basis = hermitian_eig(marginals[side].matrix)
+        first = np.stack([marginal_basis, np.eye(d_m, dtype=complex)])
+        values = _discord_fixed_entropies(rho.matrix, rho.dims, side, first, mi, ent_other)
+        if np.any(values < 1e-10):
+            best = int(np.argmax(values < 1e-10))
+            results[side] = _discord_result(rho, side, float(values[best]), first[best])
+        elif d_m == 2:
+            pending[side] = first, values
+        else:
+            best_val, best_u = _minimize_givens(
+                rho, side, first, values, mi, ent_other, seed, restarts
+            )
+            results[side] = _discord_result(rho, side, best_val, best_u)
+    if pending:
+        found = _minimize_bloch(rho, list(pending), mi, [entropies[1 - s] for s in pending])
+        for (side, (first, values)), (best_val, best_u) in zip(pending.items(), found):
+            best = int(np.argmin(values))
+            if values[best] <= best_val:
+                best_val, best_u = float(values[best]), first[best]
+            results[side] = _discord_result(rho, side, best_val, best_u)
+    return [results[side] for side in sides]
+
+
+def _minimize_givens(
+    rho: DensityMatrix,
+    side: int,
+    first: np.ndarray,
+    first_values: np.ndarray,
+    mi: float,
+    ent_other: float,
+    seed: int,
+    restarts: int,
+) -> tuple[float, np.ndarray]:
+    """Givens-angle descent for a measured side of dimension 3 or more, from
+    the two first bases (scored ``first_values``) and ``restarts`` Haar seeds;
+    returns the best value and measured-side basis."""
     d_m = rho.dims[side]
-    mi = mutual_information(rho, BIPARTITE_CUT)
-    ent_other = von_neumann_entropy(partial_trace(rho, (1 - side,)))
 
     def objective(umat: np.ndarray) -> np.ndarray:
         return _discord_fixed_entropies(rho.matrix, rho.dims, side, umat, mi, ent_other)
 
-    # For zero-discord states every basis may reach the floor, and this one
-    # also diagonalizes the measured marginal (what witnesses downstream want).
-    _, marginal_basis = hermitian_eig(partial_trace(rho, (side,)).matrix)
-    first = np.stack([marginal_basis, np.eye(d_m, dtype=complex)])
-    values = objective(first)
-    if np.any(values < 1e-10):
-        best = int(np.argmax(values < 1e-10))
-        return _discord_result(rho, side, float(values[best]), first[best])
-    if d_m == 2:
-        best_val, best_u = _minimize_bloch(rho, side, mi, ent_other)
-        best = int(np.argmin(values))
-        if values[best] <= best_val:
-            best_val, best_u = float(values[best]), first[best]
-        return _discord_result(rho, side, best_val, best_u)
-
     seeds = np.concatenate(
         [first] + [haar_unitary(d_m, substream(seed, 0x5EED, r))[None] for r in range(restarts)]
     )
-    values = np.concatenate([values, objective(seeds[2:])])
+    values = np.concatenate([first_values, objective(seeds[2:])])
     angles = np.zeros((len(seeds), d_m * (d_m - 1)))  # (theta, phi) per index pair
 
     active = np.arange(len(seeds)) if np.all(values >= 1e-10) else np.arange(0)
@@ -527,9 +593,7 @@ def minimize_discord(
 
     below = np.flatnonzero(values < 1e-10)
     best = int(below[0]) if below.size else int(np.argmin(values))
-    return _discord_result(
-        rho, side, float(values[best]), _basis_from_angles(seeds[best], angles[best])
-    )
+    return float(values[best]), _basis_from_angles(seeds[best], angles[best])
 
 
 # Pauli matrices sigma_x, sigma_y, sigma_z, and the rows of I and of each of
@@ -570,55 +634,95 @@ _ZOOM = (
 def _bloch_vectors(angles: np.ndarray) -> np.ndarray:
     """Unit vectors for (theta, phi) pairs on the last axis."""
     theta, phi = angles[..., 0], angles[..., 1]
-    return np.stack(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
-    )
+    sin_theta = np.sin(theta)
+    return np.stack([sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)], axis=-1)
+
+
+_GRID_VECTORS = _bloch_vectors(_GRID_ANGLES)
 
 
 def _minimize_bloch(
-    rho: DensityMatrix, side: int, mi: float, ent_other: float
-) -> tuple[float, np.ndarray]:
+    rho: DensityMatrix, sides: list[int], mi: float, ent_others: list[float]
+) -> list[tuple[float, np.ndarray]]:
     """Lowest discord over qubit measurements (grid, then multi-start zooms)
-    and the eigenbasis of n.sigma at its Bloch direction n."""
-    t = _PAULI_ROWS @ _block_kernel(rho.matrix, rho.dims, side)  # rows T_0 .. T_3
-    d_o = rho.dims[1 - side]
-    # Angles are taken in the principal-axis frame of n -> sum_k n_k T_k
-    # (eigenvectors of the Gram matrix Re Tr(T_k T_l)), the largest axis
-    # along x and the smallest along z.  A Bell-diagonal state with two
-    # near-equal correlations then has its flat valley on the equator, along
-    # a grid line, and its minimum on a grid point.  The Gram matrix is real,
-    # so its eigenvectors come back real.
-    _, axes = hermitian_eig((t[1:] @ t[1:].conj().T).real)
-    frame = axes[:, ::-1].real
-    t_frame = frame.T @ t[1:]
+    and the eigenbasis of n.sigma at its Bloch direction n, for each of one
+    or two measured qubit sides (two only when both sides are qubits).
 
-    def objective(angles: np.ndarray) -> np.ndarray:
-        shift = _bloch_vectors(angles) @ t_frame
-        blocks = (np.stack([t[0] - shift, t[0] + shift], axis=-2) / 2).reshape(
-            shift.shape[:-1] + (2, d_o, d_o)
-        )
+    The sides are searched in one batch, axis 0 of every array, and each
+    leaves the batch once its own steps are below ``_ZOOM_TOL``: a finished
+    side that kept zooming would move its last bits, so each side ends
+    exactly where a search of it alone ends."""
+    d_o = rho.dims[1 - sides[0]]
+    rows, frames = [], []
+    for side in sides:
+        t = _PAULI_ROWS @ _block_kernel(rho.matrix, rho.dims, side)  # rows T_0 .. T_3
+        # Angles are taken in the principal-axis frame of n -> sum_k n_k T_k
+        # (eigenvectors of the Gram matrix Re Tr(T_k T_l)), the largest axis
+        # along x and the smallest along z.  A Bell-diagonal state with two
+        # near-equal correlations then has its flat valley on the equator,
+        # along a grid line, and its minimum on a grid point.  The Gram
+        # matrix is real, so its eigenvectors come back real.
+        _, axes = hermitian_eig((t[1:] @ t[1:].conj().T).real)
+        frame = axes[:, ::-1].real
+        frames.append(frame)
+        rows.append(np.concatenate([t[:1], frame.T @ t[1:]]))
+    # Per side: T_0 broadcast over (starts, points), and the framed T_1 .. T_3
+    # over starts, so each (points, 3) @ (3, d_o^2) product is one gemm.
+    t_rows = np.stack(rows)[:, None]
+    t0, t_frame = t_rows[:, :, :1], t_rows[:, :, 1:]
+    ent_others = np.array(ent_others)[:, None, None]
+
+    def objective(vectors: np.ndarray) -> np.ndarray:
+        """Discord of the live sides, whose rows alone ``t0``, ``t_frame`` and
+        ``ent_others`` hold, at Bloch vectors (sides, ..., points, 3)."""
+        shift = vectors @ t_frame
+        blocks = np.empty(shift.shape[:-1] + (2, d_o * d_o), dtype=complex)
+        np.subtract(t0, shift, out=blocks[..., 0, :])
+        np.add(t0, shift, out=blocks[..., 1, :])
+        # Halving the real and imaginary parts apart: a complex ``/= 2``
+        # takes numpy's general complex division, several times slower,
+        # for the same nonzero bits.
+        halves = blocks.view(np.float64)
+        halves /= 2
+        blocks = blocks.reshape(shift.shape[:-1] + (2, d_o, d_o))
         weights = np.einsum("...bb->...", blocks).real
-        return _discord_from_blocks(weights, blocks, mi, ent_other)
+        return _discord_from_blocks(weights, blocks, mi, ent_others)
 
-    grid_vals = objective(_GRID_ANGLES)
-    order = np.argsort(grid_vals, kind="stable")[:_BLOCH_STARTS]
-    centres, vals = _GRID_ANGLES[order], grid_vals[order]
-    steps = np.tile(_GRID_STEPS, (len(centres), 1))
-    rows = np.arange(len(centres))
+    grid_vals = objective(_GRID_VECTORS)[:, 0]
+    order = np.argsort(grid_vals, axis=1, kind="stable")[:, :_BLOCH_STARTS]
+    live = np.arange(len(sides))  # indices into ``sides`` still zooming
+    centres, vals = _GRID_ANGLES[order], grid_vals[live[:, None], order]
+    steps = np.tile(_GRID_STEPS, (len(sides), _BLOCH_STARTS, 1))
+    starts = np.arange(_BLOCH_STARTS)
+    ends = [None] * len(sides)
     # A zoom whose best point lies on its edge may have cut the minimum off
     # (a flat, tilted valley), so it moves on without shrinking.  The zoom
     # grid holds its centre, so no round moves a start uphill.
     for _ in range(_ZOOM_ROUNDS):
-        if steps.max() < _ZOOM_TOL:
-            break
-        trial = centres[:, None, :] + _ZOOM * steps[:, None, :]
-        trial_vals = objective(trial)
-        j = np.argmin(trial_vals, axis=1)
-        centres, vals = trial[rows, j], trial_vals[rows, j]
-        steps[np.abs(_ZOOM[j]).max(axis=1) < 1.0] /= 4
-    best = int(np.argmin(vals))
-    _, basis = hermitian_eig(np.tensordot(frame @ _bloch_vectors(centres[best]), _PAULI, 1))
-    return float(vals[best]), basis
+        done = steps.max(axis=(1, 2)) < _ZOOM_TOL
+        if done.any():
+            for k in np.flatnonzero(done):
+                ends[live[k]] = centres[k], vals[k]
+            keep = ~done
+            live, centres, vals, steps = live[keep], centres[keep], vals[keep], steps[keep]
+            t0, t_frame, ent_others = t0[keep], t_frame[keep], ent_others[keep]
+            if live.size == 0:
+                break
+        trial = centres[:, :, None, :] + _ZOOM * steps[:, :, None, :]
+        trial_vals = objective(_bloch_vectors(trial))
+        j = np.argmin(trial_vals, axis=2)
+        picked = (np.arange(live.size)[:, None], starts, j)
+        centres, vals = trial[picked], trial_vals[picked]
+        steps[np.abs(_ZOOM[j]).max(axis=2) < 1.0] /= 4
+    for k, side in enumerate(live):  # still moving after _ZOOM_ROUNDS
+        ends[side] = centres[k], vals[k]
+    results = []
+    for frame, (side_centres, side_vals) in zip(frames, ends):
+        best = int(np.argmin(side_vals))
+        n = frame @ _bloch_vectors(side_centres[best])
+        _, basis = hermitian_eig(np.tensordot(n, _PAULI, 1))
+        results.append((float(side_vals[best]), basis))
+    return results
 
 
 def _discord_result(

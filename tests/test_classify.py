@@ -192,15 +192,15 @@ class TestClassify:
             ),
             "werner": werner(0.6),
         }[name]
-        directions = []
-        original = classify_mod.minimize_discord
+        calls = []
+        original = classify_mod.minimize_discord_pair
         monkeypatch.setattr(
             classify_mod,
-            "minimize_discord",
-            lambda r, direction, **kw: directions.append(direction) or original(r, direction, **kw),
+            "minimize_discord_pair",
+            lambda r, **kw: calls.append(kw) or original(r, **kw),
         )
         verdict = classify(rho, Z2, seed=35, restarts=8)
-        assert sorted(directions) == [A_TO_B, B_TO_A]
+        assert calls == [{"seed": 35, "restarts": 8}]
         monkeypatch.undo()
         # Reference: both directional minimizations plus the public is_cc.
         discord_ab, _ = minimize_discord(rho, A_TO_B, seed=35, restarts=8)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import bell_state, cc_state, two_control_mixture
+from helpers import bell_state, cc_state, two_control_mixture, werner
 from netcoh.cli import main, worker_count
 from netcoh.linalg import MAX_GATE_QUBITS, matrix_to_json
 from netcoh.ndqc2 import MAX_SHOTS
@@ -341,6 +341,14 @@ class TestVerifyCommand:
         assert captured.out == "" and f"above {MAX_FAMILY_SIZE} instances" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_se_scaling_ignores_ensemble_size(self, capsys):
+        # Its ensemble is fixed (3 shot counts x 6 runs): the option is
+        # accepted and does not scale it.
+        assert main(["verify", "se-scaling", "--seed", "7"]) == 0
+        default = capsys.readouterr().out
+        assert main(["verify", "se-scaling", "--ensemble-size", "0.5", "--seed", "7"]) == 0
+        assert capsys.readouterr().out == default == "se-scaling: PASS, 4 instances\n"
+
     def test_family_size_cap_boundary(self):
         assert dict(_families("thm4", 1000.0))["2x2"] == MAX_FAMILY_SIZE
         with pytest.raises(ValueError, match="'2x2' above"):
@@ -416,6 +424,16 @@ def _golden_cc_state() -> np.ndarray:
     return cc_state(probs, basis_a, basis_b).matrix
 
 
+def _golden_werner_state() -> np.ndarray:
+    """Werner state p = 0.6 under the local rotations of ``_golden_cc_state``:
+    discordant both ways, so both directions reach the Bloch search."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    basis_a = np.array([[c, -s], [s, c]], dtype=complex)
+    basis_b = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
+    local = np.kron(basis_a, basis_b)
+    return local @ werner(0.6).matrix @ local.conj().T
+
+
 GOLDEN_RUN = {
     "task": 1,
     "shots": 4000,
@@ -470,6 +488,12 @@ GOLDEN_CLASSIFY_CC = (
     '0.7071067811865475],[0.0,-0.7071067811865475]]}]}'
 )
 
+GOLDEN_CLASSIFY_WERNER = (
+    '{"discord_a_to_b":0.36514844544,"discord_b_to_a":0.36514844544,"is_cc":false,'
+    '"is_ppt":false,"is_product":false,"is_qc_a_to_b":false,"is_qc_b_to_a":false,'
+    '"quantum_correlated":true,"rec_net_in_basis":0.643220350553,"witness_basis":null}'
+)
+
 GOLDEN_NDQC2 = (
     '{"bp_predicted":0.5,"iota_est":{"im":0.191288,"re":0.058736},'
     '"iota_exact":{"im":0.213388347648,"re":0.0883883476483},"rec_control":2.0,'
@@ -490,6 +514,7 @@ GOLDEN_TRANSCRIPT_TASK2_SHA256 = "dcd4ea21173e8dd683a1f7b17e1bee9567035a34b48c26
 GOLDEN_VERIFY_SHA256 = {
     ("lemma1", "0.1"): "4fb553bf15173e4af3ef2012e0b094909f6436d3b34aadbeded5580862b791ad",
     ("isomorphism", "0.2"): "1579ae4c1d7e6c54b25deb22d45d0e1cd370572e685bbea8bc677b133762d9f2",
+    ("thm6", "0.05"): "90eff1c76851d8fc60726f0e160f94789d7dd0b15f590b012e1b92a3c85dbd60",
 }
 
 
@@ -512,6 +537,11 @@ class TestGoldenBytes:
         path = write_state(tmp_path / "cc.json", _golden_cc_state(), (2, 2))
         assert main(["classify", path, "--seed", "7"]) == 0
         assert capsys.readouterr().out == GOLDEN_CLASSIFY_CC + "\n"
+
+    def test_discordant_classify_verdict(self, tmp_path, capsys):
+        path = write_state(tmp_path / "werner.json", _golden_werner_state(), (2, 2))
+        assert main(["classify", path, "--seed", "7"]) == 0
+        assert capsys.readouterr().out == GOLDEN_CLASSIFY_WERNER + "\n"
 
     def test_ndqc2_report(self, tmp_path, capsys):
         path = tmp_path / "run.json"

@@ -17,6 +17,7 @@ from netcoh.coherence import (
     ProductBasis,
     basis_dependent_discord,
     dephase,
+    entropy_of_probabilities,
     minimize_discord,
     mutual_information,
     net_global_coherence,
@@ -109,6 +110,17 @@ class TestEntropy:
             rho = random_density_matrix((2, 2), substream(11, 1, i))
             s = von_neumann_entropy(rho)
             assert -1e-9 <= s <= 2 + 1e-9
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[np.nan, 1.0], [0.5, 0.5, np.nan], [np.inf, 1.0], [-np.inf, 1.0]],
+        ids=["nan", "trailing-nan", "inf", "minus-inf"],
+    )
+    def test_non_finite_probabilities_raise(self, probs):
+        # NaN slips past a ``<`` floor check and +inf past any floor, so a
+        # fail-open entropy returns a number for each.
+        with pytest.raises(ValueError):
+            entropy_of_probabilities(np.array(probs))
 
 
 class TestEigvals2x2:

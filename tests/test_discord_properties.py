@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import werner
+from helpers import cc_state, werner
 from netcoh import coherence
 from netcoh.classify import classify
 from netcoh.coherence import (
@@ -16,6 +16,7 @@ from netcoh.coherence import (
     basis_dependent_discord,
     dephase,
     minimize_discord,
+    minimize_discord_pair,
     mutual_information,
     random_product_basis,
     von_neumann_entropy,
@@ -259,3 +260,121 @@ def test_qutrit_haar_seeds_built_only_when_first_batch_fails(monkeypatch):
     rho = random_density_matrix((3, 2), substream(91, 3, 2, 0))
     minimize_discord(rho, A_TO_B, seed=11, restarts=5)
     assert calls == [3] * 5
+
+
+# ---------------------------------------------------------------------------
+# Both measured sides in one Bloch batch: oracle against the one-side search
+
+
+def _frozen_minimize_bloch(rho, side, mi, ent_other):
+    """The Bloch search of one measured side, as it stood before the sides
+    were batched: one side, its own zoom loop, ``np.stack`` blocks."""
+    t = coherence._PAULI_ROWS @ coherence._block_kernel(rho.matrix, rho.dims, side)
+    d_o = rho.dims[1 - side]
+    _, axes = hermitian_eig((t[1:] @ t[1:].conj().T).real)
+    frame = axes[:, ::-1].real
+    t_frame = frame.T @ t[1:]
+
+    def vectors(angles):
+        theta, phi = angles[..., 0], angles[..., 1]
+        return np.stack(
+            [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
+        )
+
+    def objective(angles):
+        shift = vectors(angles) @ t_frame
+        blocks = (np.stack([t[0] - shift, t[0] + shift], axis=-2) / 2).reshape(
+            shift.shape[:-1] + (2, d_o, d_o)
+        )
+        weights = np.einsum("...bb->...", blocks).real
+        return coherence._discord_from_blocks(weights, blocks, mi, ent_other)
+
+    grid_vals = objective(coherence._GRID_ANGLES)
+    order = np.argsort(grid_vals, kind="stable")[: coherence._BLOCH_STARTS]
+    centres, vals = coherence._GRID_ANGLES[order], grid_vals[order]
+    steps = np.tile(coherence._GRID_STEPS, (len(centres), 1))
+    rows = np.arange(len(centres))
+    for _ in range(coherence._ZOOM_ROUNDS):
+        if steps.max() < coherence._ZOOM_TOL:
+            break
+        trial = centres[:, None, :] + coherence._ZOOM * steps[:, None, :]
+        trial_vals = objective(trial)
+        j = np.argmin(trial_vals, axis=1)
+        centres, vals = trial[rows, j], trial_vals[rows, j]
+        steps[np.abs(coherence._ZOOM[j]).max(axis=1) < 1.0] /= 4
+    best = int(np.argmin(vals))
+    _, basis = hermitian_eig(np.tensordot(frame @ vectors(centres[best]), coherence._PAULI, 1))
+    return float(vals[best]), basis
+
+
+def _frozen_minimize_discord(rho, direction, seed, restarts):
+    """``minimize_discord`` one direction at a time, as it stood before the
+    sides were batched.  A measured side larger than a qubit goes to the
+    Givens descent, which batching did not change."""
+    side = 0 if direction == A_TO_B else 1
+    d_m = rho.dims[side]
+    mi = mutual_information(rho)
+    ent_other = von_neumann_entropy(partial_trace(rho, (1 - side,)))
+    _, marginal_basis = hermitian_eig(partial_trace(rho, (side,)).matrix)
+    first = np.stack([marginal_basis, np.eye(d_m, dtype=complex)])
+    values = _discord_fixed_entropies(rho.matrix, rho.dims, side, first, mi, ent_other)
+    if np.any(values < 1e-10):
+        best = int(np.argmax(values < 1e-10))
+        return coherence._discord_result(rho, side, float(values[best]), first[best])
+    if d_m == 2:
+        best_val, best_u = _frozen_minimize_bloch(rho, side, mi, ent_other)
+        best = int(np.argmin(values))
+        if values[best] <= best_val:
+            best_val, best_u = float(values[best]), first[best]
+        return coherence._discord_result(rho, side, best_val, best_u)
+    best_val, best_u = coherence._minimize_givens(
+        rho, side, first, values, mi, ent_other, seed, restarts
+    )
+    return coherence._discord_result(rho, side, best_val, best_u)
+
+
+def _oracle_state(kind, seed, p):
+    gen = substream(seed, 5)
+    if kind == "hs":
+        return random_density_matrix((2, 2), gen)
+    if kind == "werner":
+        local = np.kron(haar_unitary(2, gen), haar_unitary(2, gen))
+        return DensityMatrix(local @ werner(p).matrix @ local.conj().T, (2, 2))
+    if kind == "cc-degenerate":
+        # Both marginals are I/2, so the marginal eigenbasis is arbitrary
+        # and the first batch need not return: the Bloch search runs.
+        probs = np.array([[0.35, 0.15], [0.15, 0.35]])
+        return cc_state(probs, haar_unitary(2, gen), haar_unitary(2, gen))
+    return random_density_matrix((2, 3) if kind == "2x3" else (3, 2), gen)
+
+
+def _same_result(result, reference):
+    (value, basis), (ref_value, ref_basis) = result, reference
+    return value == ref_value and all(
+        np.array_equal(mat, ref) for mat, ref in zip(basis.local_bases, ref_basis.local_bases)
+    )
+
+
+def _check_pair_against_oracle(rho, seed, restarts):
+    pair = minimize_discord_pair(rho, seed=seed, restarts=restarts)
+    for direction, result in zip((A_TO_B, B_TO_A), pair):
+        reference = _frozen_minimize_discord(rho, direction, seed, restarts)
+        assert _same_result(result, reference)
+        single = minimize_discord(rho, direction, seed=seed, restarts=restarts)
+        assert _same_result(single, reference)
+
+
+@settings(PROPERTY, max_examples=120)
+@given(kind=st.sampled_from(["hs", "werner", "cc-degenerate"]), seed=SEEDS, p=st.floats(0.0, 1.0))
+def test_pair_search_matches_one_side_search_bit_for_bit(kind, seed, p):
+    # Two qubit sides: both reach one Bloch batch unless a first basis returns.
+    _check_pair_against_oracle(_oracle_state(kind, seed, p), seed, 2)
+
+
+@settings(PROPERTY, max_examples=4)
+@given(kind=st.sampled_from(["2x3", "3x2"]), seed=SEEDS)
+def test_pair_search_with_a_qutrit_side_matches_one_side_search(kind, seed):
+    # One qubit side in a batch of its own against a qutrit unmeasured side,
+    # and the qutrit side through the Givens descent (no Haar restarts, to
+    # keep the descent short).
+    _check_pair_against_oracle(_oracle_state(kind, seed, 0.0), seed, 0)

@@ -54,7 +54,7 @@ def matrices_equal(a: np.ndarray, b: np.ndarray, atol: float = ATOL_IDENTITY) ->
 
 def is_hermitian(m: np.ndarray) -> bool:
     a = np.asarray(m)
-    return bool(np.max(np.abs(a - a.conj().T)) <= ATOL_IDENTITY)
+    return bool(np.abs(a - a.conj().T).max() <= ATOL_IDENTITY)
 
 
 def is_unitary(m: np.ndarray) -> bool:
@@ -108,10 +108,10 @@ class DensityMatrix:
         # Before any arithmetic: an infinite entry would make herm_err NaN,
         # with a numpy warning and a message that names no entry.
         check_finite(mat, "rho", InvalidStateError)
-        herm_err = float(np.max(np.abs(mat - mat.conj().T)))
+        herm_err = float(np.abs(mat - mat.conj().T).max())
         if not herm_err <= ATOL_IDENTITY:
             raise InvalidStateError(f"not Hermitian: max |rho_ij - conj(rho_ji)| = {herm_err:.3e}")
-        trace_err = abs(complex(np.trace(mat)) - 1.0)
+        trace_err = abs(complex(mat.trace()) - 1.0)
         if not trace_err <= ATOL_IDENTITY:
             raise InvalidStateError(f"trace differs from 1 by {trace_err:.3e}")
         sym = (mat + mat.conj().T) / 2.0
@@ -158,15 +158,30 @@ def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(np.eye(d, dtype=complex) / d, dims)
 
 
+def subsystem_indices(indices: Iterable[int], n: int, name: str) -> tuple[int, ...]:
+    """Sorted distinct indices into ``n`` subsystems.
+
+    Each must be a Python or numpy integer (booleans excluded) in
+    ``range(n)``; anything else raises ``DimensionMismatchError`` naming
+    ``name``, so that ``1.2`` is not truncated to subsystem 1.
+    """
+    indices = tuple(indices)
+    for i in indices:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise DimensionMismatchError(f"{name} index {i!r} is not an integer")
+    out = tuple(sorted(set(int(i) for i in indices)))
+    if any(i < 0 or i >= n for i in out):
+        raise DimensionMismatchError(f"{name} indices {list(out)} out of range for {n} subsystems")
+    return out
+
+
 def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Partial trace of a raw matrix over the subsystems not in ``keep``."""
     dims = tuple(int(d) for d in dims)
-    keep = sorted(set(int(k) for k in keep))
     n = len(dims)
+    keep = subsystem_indices(keep, n, "keep")
     if not keep:
         raise DimensionMismatchError("must keep at least one subsystem")
-    if any(k < 0 or k >= n for k in keep):
-        raise DimensionMismatchError(f"keep indices {keep} out of range for {n} subsystems")
     a = as_square_matrix(mat).reshape(dims + dims)
     traced = [k for k in range(n) if k not in keep]
     # Trace highest indices first so earlier axis numbers stay valid.
@@ -174,13 +189,13 @@ def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Iterable[in
     for idx in sorted(traced, reverse=True):
         a = np.trace(a, axis1=idx, axis2=idx + len(remaining))
         del remaining[idx]
-    d_keep = int(np.prod([dims[k] for k in keep]))
+    d_keep = math.prod(dims[k] for k in keep)
     return a.reshape(d_keep, d_keep)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the kept subsystems, in their original order."""
-    keep = sorted(set(int(k) for k in keep))
+    keep = subsystem_indices(keep, len(rho.dims), "keep")
     reduced = partial_trace_matrix(rho.matrix, rho.dims, keep)
     return DensityMatrix(reduced, tuple(rho.dims[k] for k in keep))
 

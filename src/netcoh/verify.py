@@ -140,7 +140,7 @@ def _sweep(
 def dephased_mutual_info(rho: DensityMatrix, basis: ProductBasis, cut=BIPARTITE_CUT) -> float:
     """Mutual information of the fully dephased state via its outcome
     distribution; cheaper than building the dephased matrix for sweeps."""
-    probs = np.clip(coh._basis_probabilities(rho, basis), 0.0, None)
+    probs = np.clip(coh._basis_probabilities(rho.matrix, basis.matrix), 0.0, None)
     grid = probs.reshape(rho.dims)
     group_a, group_b = coh.normalize_cut(rho.dims, cut)
     p_a = grid.sum(axis=tuple(group_b)).reshape(-1)

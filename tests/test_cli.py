@@ -515,6 +515,7 @@ GOLDEN_VERIFY_SHA256 = {
     ("lemma1", "0.1"): "4fb553bf15173e4af3ef2012e0b094909f6436d3b34aadbeded5580862b791ad",
     ("isomorphism", "0.2"): "1579ae4c1d7e6c54b25deb22d45d0e1cd370572e685bbea8bc677b133762d9f2",
     ("thm6", "0.05"): "90eff1c76851d8fc60726f0e160f94789d7dd0b15f590b012e1b92a3c85dbd60",
+    ("thm4", "0.04"): "cb79e033c622a0595bda3fe29cf3a551b25791f7e77d6ca145d45c54580c1490",
 }
 
 

@@ -21,6 +21,7 @@ from netcoh.coherence import (
     minimize_discord,
     mutual_information,
     net_global_coherence,
+    normalize_cut,
     random_product_basis,
     rec,
     von_neumann_entropy,
@@ -79,6 +80,17 @@ class TestDephase:
             dephase(maximally_mixed((2, 2)), Z1)
         with pytest.raises(DimensionMismatchError):
             dephase(maximally_mixed((2, 2)), Z2, (3,))
+
+    @pytest.mark.parametrize("bad", [0.9, 1.0, 1.2, True, "1", np.float64(1.0)])
+    def test_rejects_non_integer_subsystems(self, bad):
+        with pytest.raises(DimensionMismatchError):
+            dephase(maximally_mixed((2, 2)), Z2, (0, bad))
+
+    def test_accepts_numpy_integer_subsystems(self):
+        rho = random_density_matrix((2, 2), substream(10, 3000))
+        expected = dephase(rho, Z2, (1,)).matrix
+        assert np.array_equal(dephase(rho, Z2, (np.int64(1),)).matrix, expected)
+        assert np.array_equal(dephase(rho, Z2, np.array([1], dtype=np.int32)).matrix, expected)
 
     def test_rotated_basis(self):
         # |+><+| is diagonal in the Hadamard basis, so dephasing there is a no-op.
@@ -224,6 +236,25 @@ class TestMutualInformation:
         with pytest.raises(DimensionMismatchError):
             mutual_information(bell_state(), ((0,), (0, 1)))
 
+    @pytest.mark.parametrize("bad", [0.9, 1.0, 1.2, True, "1", np.float64(1.0)])
+    def test_cut_rejects_non_integer_index(self, bad):
+        with pytest.raises(DimensionMismatchError):
+            normalize_cut((2, 2), ((0,), (bad,)))
+        with pytest.raises(DimensionMismatchError):
+            normalize_cut((2, 2), ((0,), (1, bad)))
+        with pytest.raises(DimensionMismatchError):
+            net_global_coherence(bell_state(), Z2, ((0,), (1, bad)))
+
+    def test_cut_rejects_extra_groups(self):
+        with pytest.raises(DimensionMismatchError):
+            normalize_cut((2, 2), ((0,), (1,), (7,)))
+        with pytest.raises(DimensionMismatchError):
+            net_global_coherence(maximally_mixed((2, 2)), Z2, ((0,), (1,), ("x",)))
+
+    def test_cut_accepts_numpy_integers(self):
+        cut = ((np.int64(0),), np.array([1], dtype=np.int32))
+        assert normalize_cut((2, 2), cut) == ((0,), (1,))
+
     def test_bounded_by_twice_smaller_side(self):
         for i in range(20):
             rho = random_density_matrix((2, 4), substream(13, 1, i))
@@ -292,6 +323,31 @@ class TestNetGlobalCoherence:
         monkeypatch.undo()
         assert report.mutual_info == mutual_information(rho, cut)
         assert report.mutual_info_dephased == mutual_information(dephase(rho, basis), cut)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4)])
+    def test_each_entropy_taken_once(self, dims, monkeypatch):
+        import netcoh.coherence as coherence
+        import netcoh.linalg as linalg
+
+        gen = substream(14, 3000)
+        rho = random_density_matrix(dims, gen)
+        basis = random_product_basis(dims, gen)
+        entropies, validated = [], []
+        entropy, validate = coherence.entropy_of_probabilities, linalg.DensityMatrix.__post_init__
+        monkeypatch.setattr(
+            coherence, "entropy_of_probabilities", lambda p: entropies.append(p) or entropy(p)
+        )
+        monkeypatch.setattr(
+            linalg.DensityMatrix, "__post_init__", lambda s: validated.append(s.dims) or validate(s)
+        )
+        report = net_global_coherence(rho, basis)
+        monkeypatch.undo()
+        # S(rho), S(rho_A), S(rho_B), H(p), H(p_A), H(p_B), and S of the
+        # dephased state and of its two marginals, each once.
+        assert len(entropies) == 9
+        # Both marginals, the dephased state and both of its marginals.
+        assert sorted(validated) == sorted([(2,), (2,), (dims[1],), (dims[1],), dims])
+        assert report.rec_net >= -1e-9
 
     def test_report_invariants_enforced(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from netcoh.coherence import (
     ProductBasis,
+    _eigvals_2x2,
     dephase,
     mutual_information,
     net_global_coherence,
@@ -21,7 +22,9 @@ from netcoh.incoherent_ops import (
 )
 from netcoh.linalg import (
     DensityMatrix,
+    hermitian_eig,
     partial_trace,
+    partial_trace_matrix,
     random_density_matrix,
     random_pure_density,
     tensor,
@@ -106,3 +109,121 @@ def test_rec_does_not_increase_under_strict_incoherent_channels(dims, seed, pure
     before = rec(rho, basis)
     for channel in (embed_classical(StochasticMatrix(g), basis), sandwich_dephase(inner, basis)):
         assert rec(apply_channel(channel, rho), basis) <= before + 1e-9
+
+
+# --- Frozen oracle: net_global_coherence as it was computed before each
+# entropy was taken once.  It takes 12 entropies, rebuilds every marginal,
+# restricts the basis with ``ProductBasis.subset`` and dephases through a
+# boolean mask; the one-pass report must equal it bit for bit.
+
+
+def _oracle_entropy(p):
+    p = np.real(np.asarray(p, dtype=complex))
+    assert np.min(p) >= -1e-9
+    nz = np.clip(p, 0.0, None)
+    nz = nz[nz > 0.0]
+    return float(-np.sum(nz * np.log2(nz)))
+
+
+def _oracle_von_neumann(rho):
+    if rho.dim == 2:
+        return _oracle_entropy(_eigvals_2x2(rho.matrix))
+    return _oracle_entropy(hermitian_eig(rho.matrix)[0])
+
+
+def _oracle_marginal(rho, keep):
+    reduced = partial_trace_matrix(rho.matrix, rho.dims, keep)
+    return DensityMatrix(reduced, tuple(rho.dims[k] for k in keep))
+
+
+def _oracle_rec(rho, basis):
+    b = basis.matrix
+    probs = np.real(np.sum(b.conj() * (rho.matrix @ b), axis=0))
+    return _oracle_entropy(probs) - _oracle_von_neumann(rho)
+
+
+def _oracle_mutual_information(rho, groups):
+    s_a, s_b = (_oracle_von_neumann(_oracle_marginal(rho, g)) for g in groups)
+    return s_a + s_b - _oracle_von_neumann(rho)
+
+
+def _oracle_dephase(rho, basis):
+    b = basis.matrix
+    frame = b.conj().T @ rho.matrix @ b
+    digits = np.array(np.unravel_index(np.arange(rho.dim), rho.dims))
+    mask = np.ones((rho.dim, rho.dim), dtype=bool)
+    for k in range(len(rho.dims)):
+        mask &= digits[k][:, None] == digits[k][None, :]
+    frame[~mask] = 0.0
+    return DensityMatrix(b @ frame @ b.conj().T, rho.dims)
+
+
+def _oracle_report(rho, basis, groups):
+    marginals = [_oracle_marginal(rho, g) for g in groups]
+    rec_global = _oracle_rec(rho, basis)
+    rec_locals = [_oracle_rec(m, basis.subset(g)) for m, g in zip(marginals, groups)]
+    s_a, s_b = (_oracle_von_neumann(m) for m in marginals)
+    return (
+        rec_global,
+        tuple(rec_locals),
+        rec_global - sum(rec_locals),
+        s_a + s_b - _oracle_von_neumann(rho),
+        _oracle_mutual_information(_oracle_dephase(rho, basis), groups),
+    )
+
+
+def _report_fields(report):
+    return (
+        report.rec_global,
+        report.rec_local,
+        report.rec_net,
+        report.mutual_info,
+        report.mutual_info_dephased,
+    )
+
+
+ORACLE_CASES = st.sampled_from(
+    [
+        ((2, 2), ((0,), (1,))),
+        ((2, 3), ((0,), (1,))),
+        ((3, 2), ((0,), (1,))),
+        ((2, 4), ((0,), (1,))),
+        ((2, 2, 2), ((0, 1), (2,))),
+    ]
+)
+
+
+def _oracle_state(kind, dims, gen):
+    if kind == "mixed":
+        return random_density_matrix(dims, gen)
+    if kind == "pure":
+        return random_pure_density(dims, gen)
+    if kind == "product":
+        return DensityMatrix(tensor(*(random_density_matrix((d,), gen).matrix for d in dims)), dims)
+    # Classical-classical: diagonal in a random product basis.
+    frame = random_product_basis(dims, gen).matrix
+    p = gen.random(frame.shape[0])
+    return DensityMatrix((frame * (p / p.sum())) @ frame.conj().T, dims)
+
+
+@settings(PROPERTY, max_examples=120)
+@given(
+    case=ORACLE_CASES,
+    seed=SEEDS,
+    kind=st.sampled_from(["mixed", "pure", "product", "cc"]),
+    computational=st.booleans(),
+)
+def test_net_coherence_matches_frozen_oracle_bit_for_bit(case, seed, kind, computational):
+    dims, cut = case
+    gen = substream(seed, 5)
+    rho = _oracle_state(kind, dims, gen)
+    basis = ProductBasis.computational(dims) if computational else random_product_basis(dims, gen)
+    assert _report_fields(net_global_coherence(rho, basis, cut)) == _oracle_report(rho, basis, cut)
+
+
+def test_five_qubit_net_coherence_matches_frozen_oracle():
+    gen = substream(5, 32)
+    dims, cut = (2,) * 5, ((0, 3), (1, 2, 4))
+    rho = random_density_matrix(dims, gen)
+    basis = random_product_basis(dims, gen)
+    assert _report_fields(net_global_coherence(rho, basis, cut)) == _oracle_report(rho, basis, cut)

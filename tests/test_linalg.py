@@ -18,6 +18,7 @@ from netcoh.linalg import (
     matrix_to_json,
     maximally_mixed,
     partial_trace,
+    partial_trace_matrix,
     partial_transpose,
     permute_subsystems,
     random_density_matrix,
@@ -144,6 +145,22 @@ class TestPartialTrace:
             partial_trace(rho, (0, 5))
         with pytest.raises(DimensionMismatchError):
             partial_trace(rho, ())
+
+    @pytest.mark.parametrize("bad", [0.9, 1.0, 1.2, True, "0", np.float64(0.0)])
+    def test_rejects_non_integer_keep(self, bad):
+        rho = random_density_matrix((2, 2), substream(2, 3))
+        with pytest.raises(DimensionMismatchError):
+            partial_trace(rho, (bad,))
+        with pytest.raises(DimensionMismatchError):
+            partial_trace_matrix(rho.matrix, rho.dims, (bad,))
+
+    def test_accepts_numpy_integer_keep(self):
+        rho = random_density_matrix((2, 3), substream(2, 4))
+        marg = partial_trace(rho, (1,))
+        for keep in ([np.int64(1)], np.array([1, 1], dtype=np.int32)):
+            assert np.array_equal(partial_trace(rho, keep).matrix, marg.matrix)
+            reduced = partial_trace_matrix(rho.matrix, rho.dims, keep)
+            assert np.array_equal(reduced, partial_trace_matrix(rho.matrix, rho.dims, (1,)))
 
 
 class TestHermitianEig:

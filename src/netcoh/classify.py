@@ -26,6 +26,8 @@ from .coherence import (
     require_bipartite,
 )
 from .linalg import (
+    ATOL_SPECTRAL,
+    PSD_FLOOR,
     DensityMatrix,
     DimensionMismatchError,
     hermitian_eig,
@@ -37,7 +39,7 @@ from .rng import DEFAULT_SEED
 
 DISCORD_ZERO_THRESHOLD = 1e-6
 DIAGONALITY_TOL = 1e-7
-PRODUCT_TOL = 1e-9
+PRODUCT_TOL = ATOL_SPECTRAL
 NET_COHERENCE_WITNESS_THRESHOLD = 1e-6
 
 
@@ -92,13 +94,6 @@ def is_product(rho: DensityMatrix, tol: float = PRODUCT_TOL) -> bool:
     return bool(np.max(np.abs(rho.matrix - tensor(marg_a, marg_b))) <= tol)
 
 
-def _diagonalizes(rho: DensityMatrix, basis: ProductBasis, tol: float) -> bool:
-    b = basis.matrix
-    frame = b.conj().T @ rho.matrix @ b
-    off = frame - np.diag(np.diagonal(frame))
-    return bool(np.max(np.abs(off)) <= tol)
-
-
 def is_cc(
     rho: DensityMatrix,
     *,
@@ -109,9 +104,9 @@ def is_cc(
     """Classical-classical test: zero minimized discord both ways plus a
     product basis that diagonalizes the state.
 
-    The witness combines the measured-side bases found by the two directional
-    minimizations (each returned basis already carries a simultaneous
-    eigenbasis of the conditionals on its unmeasured side).  ``seed`` and
+    The witness is the basis found by the A->B minimization: its measured
+    side is the optimal measurement on A, and its unmeasured side a
+    simultaneous eigenbasis of B's conditional states.  ``seed`` and
     ``restarts`` reach only a minimization whose measured side is larger
     than a qubit; a qubit side is searched deterministically.
     """
@@ -120,31 +115,24 @@ def is_cc(
     result_ab = minimize_discord(rho, A_TO_B, seed=seed, restarts=restarts)
     if result_ab[0] > threshold:
         return False, None
-    result_ba = minimize_discord(rho, B_TO_A, seed=seed, restarts=restarts)
-    return _cc_witness(rho, result_ab, result_ba, threshold)
+    discord_ba, _ = minimize_discord(rho, B_TO_A, seed=seed, restarts=restarts)
+    return _cc_witness(rho, result_ab, discord_ba, threshold)
 
 
 def _cc_witness(
     rho: DensityMatrix,
     result_ab: tuple[float, ProductBasis],
-    result_ba: tuple[float, ProductBasis],
+    discord_ba: float,
     threshold: float,
 ) -> tuple[bool, ProductBasis | None]:
-    """``is_cc``'s verdict from the two directional (value, basis) minima."""
-    (val_ab, basis_ab), (val_ba, basis_ba) = result_ab, result_ba
-    if val_ab > threshold or val_ba > threshold:
+    """``is_cc``'s verdict: the A->B (value, basis) minimum is the witness
+    iff both discords vanish and its basis diagonalizes the state."""
+    discord_ab, basis = result_ab
+    if discord_ab > threshold or discord_ba > threshold:
         return False, None
-    _, eig_a = hermitian_eig(partial_trace(rho, (0,)).matrix)
-    _, eig_b = hermitian_eig(partial_trace(rho, (1,)).matrix)
-    candidates = [
-        basis_ab,
-        basis_ba,
-        ProductBasis((basis_ab.local_bases[0], basis_ba.local_bases[1]), rho.dims),
-        ProductBasis((eig_a, eig_b), rho.dims),
-    ]
-    for cand in candidates:
-        if _diagonalizes(rho, cand, DIAGONALITY_TOL):
-            return True, cand
+    frame = basis.matrix.conj().T @ rho.matrix @ basis.matrix
+    if np.max(np.abs(frame - np.diag(np.diagonal(frame)))) <= DIAGONALITY_TOL:
+        return True, basis
     return False, None
 
 
@@ -177,7 +165,7 @@ def ppt_separability(rho: DensityMatrix) -> tuple[bool, float]:
     pt = partial_transpose(rho, 1)
     eigvals, _ = hermitian_eig(pt)
     min_eig = float(eigvals[0])
-    return min_eig >= -1e-9, min_eig
+    return min_eig >= PSD_FLOOR, min_eig
 
 
 def classify(
@@ -199,7 +187,7 @@ def classify(
     require_bipartite(rho)
     result_ab, result_ba = minimize_discord_pair(rho, seed=seed, restarts=restarts)
     discord_ab, discord_ba = result_ab[0], result_ba[0]
-    cc, witness = _cc_witness(rho, result_ab, result_ba, threshold)
+    cc, witness = _cc_witness(rho, result_ab, discord_ba, threshold)
     ppt, _min_eig = ppt_separability(rho)
     rec_net = net_global_coherence(rho, basis, BIPARTITE_CUT).rec_net
     return CorrelationVerdict(

@@ -71,10 +71,7 @@ def load_state(path: str) -> DensityMatrix:
     dimensions become a single subsystem.
     """
     obj = _read_json(path)
-    try:
-        mat = matrix_from_json(obj)
-    except ValueError as exc:
-        raise ParseFailure(str(exc)) from exc
+    mat = matrix_from_json(obj)  # a malformed matrix exits 2 through main
     if "dims" in obj:
         dims = obj["dims"]
         if not isinstance(dims, list) or any(type(d) is not int for d in dims):

@@ -16,6 +16,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .linalg import (
+    ATOL_SPECTRAL,
+    GATE_MATRICES,
+    PSD_FLOOR,
     DensityMatrix,
     DimensionMismatchError,
     as_square_matrix,
@@ -30,8 +33,8 @@ from .rng import DEFAULT_SEED, haar_unitary, substream
 A_TO_B = "a_to_b"
 B_TO_A = "b_to_a"
 
-EIGENVALUE_CLAMP = -1e-9
-IDENTITY_AGREEMENT_TOL = 1e-9
+EIGENVALUE_CLAMP = PSD_FLOOR
+IDENTITY_AGREEMENT_TOL = ATOL_SPECTRAL
 
 Cut = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -598,7 +601,7 @@ def _minimize_givens(
 
 # Pauli matrices sigma_x, sigma_y, sigma_z, and the rows of I and of each of
 # them for ``_block_kernel``.
-_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+_PAULI = np.stack([GATE_MATRICES[name] for name in "XYZ"])
 _PAULI_ROWS = np.concatenate([np.eye(2)[None], _PAULI]).transpose(0, 2, 1).reshape(4, 4)
 
 # Bloch-direction grid over the upper hemisphere (n and -n give the same

@@ -29,6 +29,7 @@ import numpy as np
 
 from .coherence import ProductBasis
 from .linalg import (
+    ATOL_IDENTITY,
     ATOL_SPECTRAL,
     DensityMatrix,
     DimensionMismatchError,
@@ -37,7 +38,7 @@ from .linalg import (
     matrix_to_json,
 )
 
-STRUCTURAL_ZERO = 1e-10
+STRUCTURAL_ZERO = ATOL_IDENTITY
 PRUNE_NORM = 1e-12
 
 

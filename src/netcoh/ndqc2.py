@@ -31,6 +31,7 @@ import numpy as np
 
 from .coherence import BIPARTITE_CUT, ProductBasis, net_global_coherence
 from .linalg import (
+    GATE_MATRICES,
     DensityMatrix,
     GateNetwork,
     compile_gate_network,
@@ -45,8 +46,8 @@ from .linalg import (
 from .reporting import complex_json, digest, sig
 from .rng import substream
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_X = GATE_MATRICES["X"]
+SIGMA_Y = GATE_MATRICES["Y"]
 _PAULI = {"x": SIGMA_X, "y": SIGMA_Y}
 
 KET_PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -793,22 +794,6 @@ class PrivacyAudit:
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "checks": [
-                {
-                    "run": c.run_index,
-                    "server": c.server,
-                    "pauli": c.pauli,
-                    "shots": c.shots,
-                    "mean": sig(c.mean),
-                    "z_score": sig(c.z_score),
-                }
-                for c in self.checks
-            ],
-        }
 
 
 AUDIT_Z_LIMIT = 5.0

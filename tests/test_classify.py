@@ -94,6 +94,47 @@ class TestIsCC:
         ok, _ = is_cc(DensityMatrix(mat, (2, 2)), seed=32)
         assert not ok
 
+    @pytest.mark.parametrize(
+        "prob",
+        [
+            np.array([[0.4, 0.1], [0.2, 0.3]]),
+            np.array([[0.35, 0.15], [0.15, 0.35]]),  # both marginals I/2
+            np.array([[0.3, 0.1, 0.05], [0.25, 0.1, 0.2]]),
+            np.array([[0.3, 0.1], [0.05, 0.25], [0.1, 0.2]]),
+        ],
+        ids=["generic", "both_marginals_degenerate", "2x3", "3x2"],
+    )
+    def test_witness_is_the_a_to_b_basis(self, prob):
+        gen = substream(36, *prob.shape)
+        rho = cc_state(prob, haar_unitary(prob.shape[0], gen), haar_unitary(prob.shape[1], gen))
+        ok, witness = is_cc(rho, seed=36, restarts=8)
+        _, basis_ab = minimize_discord(rho, A_TO_B, seed=36, restarts=8)
+        assert ok
+        assert [m.tolist() for m in witness.local_bases] == [
+            m.tolist() for m in basis_ab.local_bases
+        ]
+
+    def test_witness_rebuilds_no_marginal_basis(self, monkeypatch):
+        import netcoh.classify as classify_mod
+
+        rotation = haar_unitary(2, substream(37, 0))
+        rho = cc_state(np.array([[0.4, 0.1], [0.2, 0.3]]), rotation, np.eye(2))
+        result_ab = minimize_discord(rho, A_TO_B)
+        discord_ba, _ = minimize_discord(rho, B_TO_A)
+        calls = []
+        for name in ("partial_trace", "hermitian_eig"):
+            original = getattr(classify_mod, name)
+            monkeypatch.setattr(
+                classify_mod, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+            )
+        witness = classify_mod._cc_witness
+        assert witness(rho, result_ab, discord_ba, 1e-6) == (True, result_ab[1])
+        # A basis that leaves the state off-diagonal, or a discordant B->A
+        # side, is no witness: no other candidate is tried.
+        assert witness(bell_state(), result_ab, 0.0, 1e-6) == (False, None)
+        assert witness(rho, result_ab, 1.0, 1e-6) == (False, None)
+        assert calls == []
+
 
 class TestIsOneWayQC:
     @pytest.fixture

@@ -11,7 +11,7 @@ from netcoh.cli import main, worker_count
 from netcoh.linalg import MAX_GATE_QUBITS, matrix_to_json
 from netcoh.ndqc2 import MAX_SHOTS
 from netcoh.reporting import canonical_dumps
-from netcoh.verify import MAX_FAMILY_SIZE, _families, run_suite
+from netcoh.verify import MAX_FAMILY_SIZE, SUITE_NAMES, _families, run_suite
 
 
 def write_state(path, rho, dims=None):
@@ -111,6 +111,23 @@ class TestCoherenceCommand:
     def test_bad_cut_spec(self, tmp_path):
         path = write_state(tmp_path / "bell.json", bell_state(), (2, 2))
         assert main(["coherence", path, "--cut", "nonsense"]) == 2
+
+    @pytest.mark.parametrize("basis", [{}, {"local_bases": 5}, [1, 2]])
+    def test_basis_file_without_local_bases_exits_2(self, tmp_path, capsys, basis):
+        path = write_state(tmp_path / "bell.json", bell_state(), (2, 2))
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(json.dumps(basis))
+        assert main(["coherence", path, "--basis", str(basis_path)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed basis file" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["coherence", "classify"])
+    def test_non_power_of_two_state_without_dims_exits_2(self, tmp_path, capsys, command):
+        # Without "dims", d = 6 is one subsystem: there is no cut to report.
+        path = write_state(tmp_path / "six.json", np.eye(6, dtype=complex) / 6)
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
 
 
 class TestClassifyCommand:
@@ -282,6 +299,15 @@ class TestNdqc2Command:
         assert f"qubit_count must be at most {MAX_GATE_QUBITS}" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
+    def test_numeric_unitary_entry_exits_2(self, tmp_path, capsys):
+        desc = {"task": 2, "shots": 100, "unitary_a": 5, "unitary_b": matrix_to_json(np.eye(2))}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(desc))
+        assert main(["ndqc2", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "unitary entry must be a filename or object" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_unitary_file_reference(self, tmp_path, capsys):
         upath = tmp_path / "u.json"
         upath.write_text(json.dumps(matrix_to_json(np.eye(2, dtype=complex))))
@@ -317,6 +343,12 @@ class TestVerifyCommand:
         assert code == 0
         text = (out / "lemma1.csv").read_text()
         assert text.splitlines()[0] == "family,incoherent,index,strict"
+
+    def test_all_suites_in_order(self, capsys):
+        assert main(["verify", "all", "--ensemble-size", "0.01", "--seed", "7"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == list(SUITE_NAMES)
+        assert all(": PASS, " in line for line in lines)
 
     def test_unknown_suite_exits_2(self):
         assert main(["verify", "not-a-suite"]) == 2
@@ -516,6 +548,7 @@ GOLDEN_VERIFY_SHA256 = {
     ("isomorphism", "0.2"): "1579ae4c1d7e6c54b25deb22d45d0e1cd370572e685bbea8bc677b133762d9f2",
     ("thm6", "0.05"): "90eff1c76851d8fc60726f0e160f94789d7dd0b15f590b012e1b92a3c85dbd60",
     ("thm4", "0.04"): "cb79e033c622a0595bda3fe29cf3a551b25791f7e77d6ca145d45c54580c1490",
+    ("thm5", "0.05"): "6bab39ad9a22d6b666ca50605e007a681656911bb2c520cf60fd8fd4f1b15a3e",
 }
 
 

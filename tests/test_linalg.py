@@ -379,3 +379,16 @@ class TestJsonFormats:
     def test_gate_network_rejects_bad_payloads(self):
         with pytest.raises(ValueError):
             gate_network_from_json({"qubits": 2})
+
+
+def test_tolerance_tiers_are_pinned():
+    # Each tier is defined once in linalg and bound by name elsewhere, so a
+    # loosened tier fails here rather than passing every downstream check.
+    from netcoh import classify, coherence, incoherent_ops, linalg
+
+    assert linalg.ATOL_IDENTITY == incoherent_ops.STRUCTURAL_ZERO == 1e-10
+    assert linalg.ATOL_SPECTRAL == coherence.IDENTITY_AGREEMENT_TOL == 1e-9
+    assert classify.PRODUCT_TOL == 1e-9
+    assert linalg.PSD_FLOOR == coherence.EIGENVALUE_CLAMP == -1e-9
+    assert classify.DISCORD_ZERO_THRESHOLD == classify.NET_COHERENCE_WITNESS_THRESHOLD == 1e-6
+

@@ -45,8 +45,8 @@ from .ndqc2 import (
     ProtocolTranscript,
     exact_iota,
     privacy_audit,
-    run_protocol,
-    sample_run,
+    run_protocol_detailed,
+    sample_run_with_record,
 )
 
 __all__ = [
@@ -65,8 +65,8 @@ __all__ = [
     "ProtocolTranscript",
     "exact_iota",
     "privacy_audit",
-    "run_protocol",
-    "sample_run",
+    "run_protocol_detailed",
+    "sample_run_with_record",
     "DensityMatrix",
     "GateNetwork",
     "compile_gate_network",

@@ -86,12 +86,12 @@ def _require_threshold(threshold: float) -> None:
         raise ValueError(f"threshold must be a finite number >= 0, got {threshold!r}")
 
 
-def is_product(rho: DensityMatrix, tol: float = PRODUCT_TOL) -> bool:
+def is_product(rho: DensityMatrix) -> bool:
     """True iff the state equals the tensor product of its marginals."""
     require_bipartite(rho)
     marg_a = partial_trace(rho, (0,)).matrix
     marg_b = partial_trace(rho, (1,)).matrix
-    return bool(np.max(np.abs(rho.matrix - tensor(marg_a, marg_b))) <= tol)
+    return bool(np.max(np.abs(rho.matrix - tensor(marg_a, marg_b))) <= PRODUCT_TOL)
 
 
 def is_cc(
@@ -106,34 +106,35 @@ def is_cc(
 
     The witness is the basis found by the A->B minimization: its measured
     side is the optimal measurement on A, and its unmeasured side a
-    simultaneous eigenbasis of B's conditional states.  ``seed`` and
-    ``restarts`` reach only a minimization whose measured side is larger
-    than a qubit; a qubit side is searched deterministically.
+    simultaneous eigenbasis of B's conditional states.  The B->A search
+    runs only when that basis is a witness, so a state classical on A alone
+    costs one minimization.  ``seed`` and ``restarts`` reach only a
+    minimization whose measured side is larger than a qubit; a qubit side
+    is searched deterministically.
     """
     _require_threshold(threshold)
     require_bipartite(rho)
     result_ab = minimize_discord(rho, A_TO_B, seed=seed, restarts=restarts)
-    if result_ab[0] > threshold:
+    witness = _ab_witness(rho, result_ab, threshold)
+    if witness is None:
         return False, None
     discord_ba, _ = minimize_discord(rho, B_TO_A, seed=seed, restarts=restarts)
-    return _cc_witness(rho, result_ab, discord_ba, threshold)
+    return (True, witness) if discord_ba <= threshold else (False, None)
 
 
-def _cc_witness(
-    rho: DensityMatrix,
-    result_ab: tuple[float, ProductBasis],
-    discord_ba: float,
-    threshold: float,
-) -> tuple[bool, ProductBasis | None]:
-    """``is_cc``'s verdict: the A->B (value, basis) minimum is the witness
-    iff both discords vanish and its basis diagonalizes the state."""
+def _ab_witness(
+    rho: DensityMatrix, result_ab: tuple[float, ProductBasis], threshold: float
+) -> ProductBasis | None:
+    """The A->B (value, basis) minimum's basis if that discord vanishes and
+    the basis diagonalizes the state, else None.  It is the CC witness iff
+    the B->A discord vanishes too."""
     discord_ab, basis = result_ab
-    if discord_ab > threshold or discord_ba > threshold:
-        return False, None
+    if discord_ab > threshold:
+        return None
     frame = basis.matrix.conj().T @ rho.matrix @ basis.matrix
     if np.max(np.abs(frame - np.diag(np.diagonal(frame)))) <= DIAGONALITY_TOL:
-        return True, basis
-    return False, None
+        return basis
+    return None
 
 
 def is_one_way_qc(
@@ -185,14 +186,15 @@ def classify(
     """
     _require_threshold(threshold)
     require_bipartite(rho)
+    # Rejects unsupported dims before the discord search, the costly step.
+    ppt, _min_eig = ppt_separability(rho)
     result_ab, result_ba = minimize_discord_pair(rho, seed=seed, restarts=restarts)
     discord_ab, discord_ba = result_ab[0], result_ba[0]
-    cc, witness = _cc_witness(rho, result_ab, discord_ba, threshold)
-    ppt, _min_eig = ppt_separability(rho)
+    witness = _ab_witness(rho, result_ab, threshold) if discord_ba <= threshold else None
     rec_net = net_global_coherence(rho, basis, BIPARTITE_CUT).rec_net
     return CorrelationVerdict(
         is_product=is_product(rho),
-        is_cc=cc,
+        is_cc=witness is not None,
         is_qc_a_to_b=discord_ab <= threshold,
         is_qc_b_to_a=discord_ba <= threshold,
         is_ppt=ppt,

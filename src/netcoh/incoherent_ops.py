@@ -34,8 +34,6 @@ from .linalg import (
     DensityMatrix,
     DimensionMismatchError,
     check_finite,
-    matrix_from_json,
-    matrix_to_json,
 )
 
 STRUCTURAL_ZERO = ATOL_IDENTITY
@@ -292,11 +290,3 @@ def sandwich_dephase(inner: KrausChannel, basis: ProductBasis) -> KrausChannel:
     i, rows, cols = np.nonzero(np.abs(frames) > PRUNE_NORM)
     coeffs = frames[i, rows, cols][:, None, None]
     return KrausChannel(coeffs * _basis_units(basis.matrix, rows, cols))
-
-
-def channel_to_json(channel: KrausChannel) -> list[dict]:
-    return [matrix_to_json(f) for f in channel.kraus]
-
-
-def channel_from_json(objs: list[dict]) -> KrausChannel:
-    return KrausChannel([matrix_from_json(o) for o in objs])

@@ -31,6 +31,7 @@ import numpy as np
 
 from .coherence import BIPARTITE_CUT, ProductBasis, net_global_coherence
 from .linalg import (
+    ATOL_SPECTRAL,
     GATE_MATRICES,
     DensityMatrix,
     GateNetwork,
@@ -192,7 +193,7 @@ def control_output_state(
         _, rho_out_full = dense_protocol_states(task, u_a, u_b, signs)
         traced = partial_trace(rho_out_full, (0, 2))
         deviation = float(np.max(np.abs(traced.matrix - out.matrix)))
-        if deviation > 1e-9:
+        if deviation > ATOL_SPECTRAL:
             raise ArithmeticError(f"closed form disagrees with dense path by {deviation:.3e}")
     return out
 
@@ -307,7 +308,6 @@ class SettingRecord:
 @dataclass(frozen=True)
 class MeasurementRecord:
     task: int
-    shots: int
     settings: tuple[SettingRecord, ...]
 
 
@@ -400,7 +400,7 @@ def simulate_measurements(
             pauli_a, pauli_b = spec_a, spec_b
             alice, bob = _sample_joint(rho, spec_a, spec_b, n, gen)
         records.append(SettingRecord(label, pauli_a, pauli_b, alice, bob))
-    return MeasurementRecord(task=task, shots=shots, settings=tuple(records))
+    return MeasurementRecord(task=task, settings=tuple(records))
 
 
 def _tally(outcomes: np.ndarray, n_slices: int = 1) -> tuple[list[int], list[int]]:
@@ -525,18 +525,6 @@ class EstimateReport:
         }
 
 
-def sample_run(
-    task: int,
-    u_a: np.ndarray | GateNetwork,
-    u_b: np.ndarray | GateNetwork,
-    shots: int,
-    seed: int,
-    signs: tuple[int, int] = (1, 1),
-) -> EstimateReport:
-    report, _ = sample_run_with_record(task, u_a, u_b, shots, seed, signs)
-    return report
-
-
 def sample_run_with_record(
     task: int,
     u_a: np.ndarray | GateNetwork,
@@ -545,7 +533,8 @@ def sample_run_with_record(
     seed: int,
     signs: tuple[int, int] = (1, 1),
 ) -> tuple[EstimateReport, MeasurementRecord]:
-    """``sample_run`` plus the measurement record it estimated from.
+    """One protocol run without the party harness: the report and the
+    measurement record it estimated from.
 
     Each server's unitary is resolved (and checked unitary) once; the run
     then works from the two normalized traces.
@@ -653,25 +642,12 @@ class Harness:
 
 
 def _preparation_branches(task: int, signs: tuple[int, int]) -> tuple[tuple[float, tuple[int, int]], ...]:
+    """Charlie's (weight, signs) preparation branches: at most two pure
+    qubits per branch, weights summing to 1; the ancillas are maximally
+    mixed."""
     if task == 1:
         return ((1.0, (signs[0], signs[1])),)
     return ((0.5, (1, 1)), (0.5, (-1, -1)))
-
-
-def validate_preparation(branches: Sequence[tuple[float, tuple[int, int]]]) -> None:
-    """Client-side preparation rule: at most two pure qubits per branch,
-    weights normalized; everything else is maximally mixed by construction."""
-    total = 0.0
-    for weight, pure_signs in branches:
-        if len(pure_signs) > 2:
-            raise CapabilityViolationError(
-                f"client may prepare at most two pure qubits, got {len(pure_signs)}", -1
-            )
-        if weight < 0:
-            raise CapabilityViolationError("negative preparation weight", -1)
-        total += weight
-    if abs(total - 1.0) > 1e-12:
-        raise CapabilityViolationError("preparation weights must sum to 1", -1)
 
 
 def _network_payload(task: int, shots: int, u: np.ndarray | GateNetwork, side: str) -> dict:
@@ -697,18 +673,6 @@ def _statistics_payload(record: MeasurementRecord, server: str) -> dict:
 INJECTION_MODES = ("alice_to_bob", "bob_to_alice", "server_state")
 
 
-def run_protocol(
-    task: int,
-    networks: tuple[np.ndarray | GateNetwork, np.ndarray | GateNetwork],
-    shots: int,
-    seed: int,
-    signs: tuple[int, int] = (1, 1),
-    inject: str | None = None,
-) -> tuple[EstimateReport, ProtocolTranscript]:
-    report, transcript, _ = run_protocol_detailed(task, networks, shots, seed, signs, inject)
-    return report, transcript
-
-
 def run_protocol_detailed(
     task: int,
     networks: tuple[np.ndarray | GateNetwork, np.ndarray | GateNetwork],
@@ -721,8 +685,9 @@ def run_protocol_detailed(
 
     Charlie distributes gate networks and state shares, the servers evolve
     and measure, statistics return to Charlie, and he combines them.  The
-    resulting report is identical to ``sample_run`` at the same seed.  An
-    ``inject`` mode forges one forbidden message to exercise the audit.
+    resulting report and record are those of ``sample_run_with_record`` at
+    the same seed.  An ``inject`` mode forges one forbidden message to
+    exercise the audit.
     """
     _require_task(task)
     if inject is not None and inject not in INJECTION_MODES:
@@ -734,7 +699,6 @@ def run_protocol_detailed(
     harness.send("charlie", "bob", "gate-network", _network_payload(task, shots, u_b, "b"))
 
     branches = _preparation_branches(task, signs)
-    validate_preparation(branches)
     for server, side in (("alice", "a"), ("bob", "b")):
         harness.send(
             "charlie",

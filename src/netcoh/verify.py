@@ -17,7 +17,7 @@ import numpy as np
 
 from . import coherence as coh
 from . import incoherent_ops as iops
-from .classify import DISCORD_ZERO_THRESHOLD
+from .classify import DISCORD_ZERO_THRESHOLD, NET_COHERENCE_WITNESS_THRESHOLD
 from .coherence import (
     BIPARTITE_CUT,
     ProductBasis,
@@ -27,6 +27,9 @@ from .coherence import (
     random_product_basis,
 )
 from .linalg import (
+    ATOL_IDENTITY,
+    ATOL_SPECTRAL,
+    PSD_FLOOR,
     DensityMatrix,
     hermitian_eig,
     partial_trace,
@@ -196,11 +199,11 @@ def suite_thm4(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
     rows = _sweep(_thm4_row, seed, _families("thm4", scale), workers)
     failures = []
     for row in rows:
-        if row["rec_net"] < -1e-9:
+        if row["rec_net"] < PSD_FLOOR:
             failures.append(f"{row['kind']}[{row['index']}]: rec_net {row['rec_net']:.3e} < -1e-9")
-        if row["route_gap"] > 1e-9:
+        if row["route_gap"] > ATOL_SPECTRAL:
             failures.append(f"{row['kind']}[{row['index']}]: route gap {row['route_gap']:.3e}")
-        if row["kind"] in ("product", "cc") and row["rec_net"] > 1e-9:
+        if row["kind"] in ("product", "cc") and row["rec_net"] > ATOL_SPECTRAL:
             failures.append(
                 f"{row['kind']}[{row['index']}]: equality case rec_net {row['rec_net']:.3e}"
             )
@@ -228,7 +231,7 @@ def _thm5_row(seed: int, kind: str, i: int) -> dict:
         if b_idx == 0:
             # Cross-validate the sweep shortcut against the full report.
             full = net_global_coherence(rho, basis, BIPARTITE_CUT).rec_net
-            if abs(full - net) > 1e-9:
+            if abs(full - net) > ATOL_SPECTRAL:
                 net = math.nan
         nets.append(net)
     return {
@@ -250,13 +253,14 @@ def suite_thm5(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
             failures.append(f"{row['kind']}[{row['index']}]: route cross-check failed")
             continue
         if row["kind"] == "product":
-            if row["rec_net_max"] > 1e-9:
+            if row["rec_net_max"] > ATOL_SPECTRAL:
                 failures.append(
                     f"product[{row['index']}]: rec_net {row['rec_net_max']:.3e} > 1e-9"
                 )
         else:
-            entangled = row["entanglement_entropy"] > 1e-6
-            coherent = row["rec_net_min"] > 1e-6
+            # A pure state's entanglement entropy is its discord.
+            entangled = row["entanglement_entropy"] > DISCORD_ZERO_THRESHOLD
+            coherent = row["rec_net_min"] > NET_COHERENCE_WITNESS_THRESHOLD
             if entangled != coherent:
                 failures.append(
                     f"haar[{row['index']}]: EE {row['entanglement_entropy']:.3e} vs "
@@ -321,12 +325,12 @@ def suite_thm6(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
         if row["kind"] == "cc":
             if max(row["discord_ab"], row["discord_ba"]) > DISCORD_ZERO_THRESHOLD:
                 failures.append(f"cc[{row['index']}]: discord floor not reached")
-            if row["rec_net_witness"] > 1e-6:
+            if row["rec_net_witness"] > NET_COHERENCE_WITNESS_THRESHOLD:
                 failures.append(
                     f"cc[{row['index']}]: witness rec_net {row['rec_net_witness']:.3e} > 1e-6"
                 )
         else:
-            if row["rec_net_min"] <= 1e-6:
+            if row["rec_net_min"] <= NET_COHERENCE_WITNESS_THRESHOLD:
                 failures.append(
                     f"discordant[{row['index']}]: rec_net {row['rec_net_min']:.3e} <= 1e-6"
                 )
@@ -486,9 +490,9 @@ def suite_isomorphism(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteR
     for row in rows:
         if not row["strict"]:
             failures.append(f"iso[{row['index']}]: embedded channel not strict")
-        if row["round_trip_err"] > 1e-10:
+        if row["round_trip_err"] > ATOL_IDENTITY:
             failures.append(f"iso[{row['index']}]: round trip err {row['round_trip_err']:.3e}")
-        if row["action_err"] > 1e-10:
+        if row["action_err"] > ATOL_IDENTITY:
             failures.append(f"iso[{row['index']}]: action err {row['action_err']:.3e}")
     return SuiteResult("isomorphism", not failures, rows, failures)
 

@@ -32,8 +32,8 @@ from netcoh.ndqc2 import (
     exact_iota,
     joint_ladder_expectation,
     protocol_basis,
-    run_protocol,
-    sample_run,
+    run_protocol_detailed,
+    sample_run_with_record,
 )
 from netcoh.rng import DEFAULT_SEED, haar_unitary, substream
 from netcoh.verify import (
@@ -214,7 +214,7 @@ def test_criterion_09_protocol_correctness():
         out = control_output_state(2, net_a, net_b)
         gap = abs(joint_ladder_expectation(out) - exact_iota(net_a, net_b))
         worst_identity = max(worst_identity, gap)
-        rep = sample_run(2, net_a, net_b, 100_000, seed=SEED + trial)
+        rep, _ = sample_run_with_record(2, net_a, net_b, 100_000, seed=SEED + trial)
         if abs(rep.iota_est - rep.iota_exact) <= 4.0 * rep.se_empirical:
             hits += 1
     elapsed = time.perf_counter() - started
@@ -258,7 +258,7 @@ def test_criterion_12_protocol_constraints():
         gen = substream(SEED, 12, trial)
         task = 1 + int(gen.integers(2))
         u_a, u_b = haar_unitary(2, gen), haar_unitary(2, gen)
-        _, transcript = run_protocol(task, (u_a, u_b), 16, seed=SEED + trial)
+        _, transcript, _ = run_protocol_detailed(task, (u_a, u_b), 16, seed=SEED + trial)
         transcript.validate()
         for m in transcript.messages:
             assert {m.sender, m.receiver} != {"alice", "bob"}

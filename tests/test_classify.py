@@ -127,13 +127,38 @@ class TestIsCC:
             monkeypatch.setattr(
                 classify_mod, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
             )
-        witness = classify_mod._cc_witness
-        assert witness(rho, result_ab, discord_ba, 1e-6) == (True, result_ab[1])
-        # A basis that leaves the state off-diagonal, or a discordant B->A
-        # side, is no witness: no other candidate is tried.
-        assert witness(bell_state(), result_ab, 0.0, 1e-6) == (False, None)
-        assert witness(rho, result_ab, 1.0, 1e-6) == (False, None)
+        witness = classify_mod._ab_witness
+        assert discord_ba <= 1e-6
+        assert witness(rho, result_ab, 1e-6) is result_ab[1]
+        # A basis that leaves the state off-diagonal is no witness: no other
+        # candidate is tried.
+        assert witness(bell_state(), result_ab, 1e-6) is None
         assert calls == []
+        # Nor is one whose state is discordant on the B->A side.
+        found = {A_TO_B: result_ab, B_TO_A: (1.0, result_ab[1])}
+        monkeypatch.setattr(classify_mod, "minimize_discord", lambda _rho, d, **_kw: found[d])
+        assert is_cc(rho) == (False, None)
+
+    def test_one_way_classical_state_needs_one_search(self, monkeypatch):
+        # Classical on A, with conditional qutrit states that do not commute:
+        # the A->B discord vanishes, but its basis leaves the state
+        # off-diagonal, so the B->A search cannot change the verdict.
+        import netcoh.classify as classify_mod
+
+        gen = substream(3, 9)
+        sigma_0, sigma_1 = (random_density_matrix((3,), gen).matrix for _ in range(2))
+        rho = DensityMatrix(
+            0.5 * tensor(np.diag([1.0, 0.0]), sigma_0) + 0.5 * tensor(np.diag([0.0, 1.0]), sigma_1),
+            (2, 3),
+        )
+        directions = []
+        monkeypatch.setattr(
+            classify_mod,
+            "minimize_discord",
+            lambda _rho, d, **kw: directions.append(d) or minimize_discord(_rho, d, **kw),
+        )
+        assert is_cc(rho) == (False, None)
+        assert directions == [A_TO_B]
 
 
 class TestIsOneWayQC:

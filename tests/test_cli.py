@@ -8,9 +8,10 @@ import pytest
 
 from helpers import bell_state, cc_state, two_control_mixture, werner
 from netcoh.cli import main, worker_count
-from netcoh.linalg import MAX_GATE_QUBITS, matrix_to_json
+from netcoh.linalg import MAX_GATE_QUBITS, matrix_to_json, random_density_matrix
 from netcoh.ndqc2 import MAX_SHOTS
 from netcoh.reporting import canonical_dumps
+from netcoh.rng import substream
 from netcoh.verify import MAX_FAMILY_SIZE, SUITE_NAMES, _families, run_suite
 
 
@@ -122,6 +123,19 @@ class TestCoherenceCommand:
         assert "malformed basis file" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["coherence", "classify"])
+    def test_state_at_the_psd_floor_exits_3(self, tmp_path, capsys, command):
+        # The smallest eigenvalue, -0.9e-9, passes the -1e-9 floor of a
+        # density matrix, but the net coherence comes out at -2.7e-8.
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 0] = 1.0
+        rho[1, 2] = rho[2, 1] = 0.9e-9
+        path = write_state(tmp_path / "floor.json", rho)
+        assert main([command, path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid input state: net coherence")
+
+    @pytest.mark.parametrize("command", ["coherence", "classify"])
     def test_non_power_of_two_state_without_dims_exits_2(self, tmp_path, capsys, command):
         # Without "dims", d = 6 is one subsystem: there is no cut to report.
         path = write_state(tmp_path / "six.json", np.eye(6, dtype=complex) / 6)
@@ -159,6 +173,20 @@ class TestClassifyCommand:
     def test_unsupported_dims_exit_2(self, tmp_path):
         path = write_state(tmp_path / "big.json", np.eye(8, dtype=complex) / 8, (2, 4))
         assert main(["classify", path]) == 2
+
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 4)])
+    def test_unsupported_dims_exit_before_the_discord_search(
+        self, tmp_path, capsys, monkeypatch, dims
+    ):
+        import netcoh.classify as classify_mod
+
+        searched = []
+        monkeypatch.setattr(classify_mod, "minimize_discord_pair", lambda *a, **k: searched.append(a))
+        rho = random_density_matrix(dims, substream(38, *dims))
+        path = write_state(tmp_path / "state.json", rho, dims)
+        assert main(["classify", path]) == 2
+        assert "PPT separability is decided only" in capsys.readouterr().err
+        assert searched == []
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-12", "tiny"])
     def test_bad_tolerance_exits_2(self, tmp_path, capsys, value):

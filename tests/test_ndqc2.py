@@ -29,8 +29,7 @@ from netcoh.ndqc2 import (
     predicted_se,
     privacy_audit,
     protocol_basis,
-    run_protocol,
-    sample_run,
+    run_protocol_detailed,
     sample_run_with_record,
     simulate_measurements,
 )
@@ -259,42 +258,42 @@ class TestControlCoherenceFigures:
 
 class TestSampleRun:
     def test_traceless_unitaries_estimate_zero(self):
-        report = sample_run(2, SZ, SZ, 20000, seed=1)
+        report, _ = sample_run_with_record(2, SZ, SZ, 20000, seed=1)
         assert abs(report.iota_exact) == 0.0
         assert abs(report.iota_est) <= 4.0 * report.se_empirical
 
     def test_identity_task2_converges(self):
-        report = sample_run(2, I2, I2, 100000, seed=2)
+        report, _ = sample_run_with_record(2, I2, I2, 100000, seed=2)
         assert abs(report.iota_est - 1.0) <= 4.0 * report.se_empirical
         assert abs(report.rec_control - 1.0) <= 1e-9
         assert abs(report.rec_net - 1.0) <= 1e-9
 
     def test_task1_converges_and_reports_coherence(self):
-        report = sample_run(1, T_GATE, T_GATE, 100000, seed=3)
+        report, _ = sample_run_with_record(1, T_GATE, T_GATE, 100000, seed=3)
         assert abs(report.iota_est - IOTA_TT) <= 4.0 * report.se_empirical
         assert abs(report.rec_control - 2.0) <= 1e-9
         assert abs(report.rec_net) <= 1e-9
         assert abs(report.bp_predicted - 0.5) <= 1e-9
 
     def test_minus_controls(self):
-        report = sample_run(1, T_GATE, I2, 60000, seed=4, signs=(-1, 1))
+        report, _ = sample_run_with_record(1, T_GATE, I2, 60000, seed=4, signs=(-1, 1))
         assert abs(report.iota_est - report.iota_exact) <= 4.0 * report.se_empirical
         assert abs(report.rec_control - 2.0) <= 1e-9
 
     def test_deterministic_per_seed(self):
-        a = sample_run(2, T_GATE, T_GATE, 5000, seed=7)
-        b = sample_run(2, T_GATE, T_GATE, 5000, seed=7)
+        a, _ = sample_run_with_record(2, T_GATE, T_GATE, 5000, seed=7)
+        b, _ = sample_run_with_record(2, T_GATE, T_GATE, 5000, seed=7)
         assert a == b
-        c = sample_run(2, T_GATE, T_GATE, 5000, seed=8)
+        c, _ = sample_run_with_record(2, T_GATE, T_GATE, 5000, seed=8)
         assert c.iota_est != a.iota_est
 
     def test_shot_floor(self):
         with pytest.raises(ValueError):
-            sample_run(2, I2, I2, 3, seed=1)
+            sample_run_with_record(2, I2, I2, 3, seed=1)
 
     def test_shot_cap(self):
         with pytest.raises(ValueError, match="at most"):
-            sample_run(2, I2, I2, ndqc2.MAX_SHOTS + 1, seed=1)
+            sample_run_with_record(2, I2, I2, ndqc2.MAX_SHOTS + 1, seed=1)
 
     @pytest.mark.parametrize("task", [1, 2])
     def test_each_server_unitary_checked_once_per_run(self, monkeypatch, task):
@@ -305,7 +304,7 @@ class TestSampleRun:
         sample_run_with_record(task, T_GATE, u_b, 4000, seed=9)
         assert checked == [2, 4]
         checked.clear()
-        run_protocol(task, (T_GATE, u_b), 4000, seed=9)
+        run_protocol_detailed(task, (T_GATE, u_b), 4000, seed=9)
         assert checked == [2, 4]
 
     def test_estimator_unbiased_across_seeds(self):
@@ -314,7 +313,7 @@ class TestSampleRun:
         exact = exact_iota(u_a, u_b)
         estimates, ses = [], []
         for s in range(200):
-            report = sample_run(2, u_a, u_b, 4000, seed=10_000 + s)
+            report, _ = sample_run_with_record(2, u_a, u_b, 4000, seed=10_000 + s)
             estimates.append(report.iota_est)
             ses.append(report.se_empirical)
         mean_est = np.mean(estimates)
@@ -337,7 +336,8 @@ class TestSampleRun:
             )
 
     def test_report_json_format(self):
-        payload = sample_run(2, I2, I2, 1000, seed=5).to_json()
+        report, _ = sample_run_with_record(2, I2, I2, 1000, seed=5)
+        payload = report.to_json()
         assert payload["iota_exact"] == {"re": 1.0, "im": 0.0}
         assert set(payload) == {
             "task",
@@ -355,7 +355,7 @@ class TestSampleRun:
 
 class TestHarnessRules:
     def test_transcript_shape(self):
-        _, transcript = run_protocol(2, (I2, I2), 100, seed=11)
+        _, transcript, _ = run_protocol_detailed(2, (I2, I2), 100, seed=11)
         kinds = [(m.sender, m.receiver, m.kind) for m in transcript.messages]
         assert kinds == [
             ("charlie", "alice", "gate-network"),
@@ -390,17 +390,25 @@ class TestHarnessRules:
     @pytest.mark.parametrize("mode", ["alice_to_bob", "bob_to_alice", "server_state"])
     def test_injected_violations_rejected(self, mode):
         with pytest.raises(CapabilityViolationError) as err:
-            run_protocol(2, (I2, I2), 100, seed=11, inject=mode)
+            run_protocol_detailed(2, (I2, I2), 100, seed=11, inject=mode)
         assert err.value.transcript_index >= 0
 
+    @pytest.mark.parametrize("task", [1, 2])
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_preparation_keeps_the_client_rule(self, task, signs):
+        # At most two pure qubits per branch, and weights that sum to 1.
+        branches = ndqc2._preparation_branches(task, signs)
+        assert all(weight > 0 and len(pure) <= 2 for weight, pure in branches)
+        assert sum(weight for weight, _ in branches) == 1.0
+
     def test_protocol_report_matches_sample_run(self):
-        direct = sample_run(2, T_GATE, T_GATE, 2000, seed=13)
-        via_protocol, _ = run_protocol(2, (T_GATE, T_GATE), 2000, seed=13)
+        direct, _ = sample_run_with_record(2, T_GATE, T_GATE, 2000, seed=13)
+        via_protocol, _, _ = run_protocol_detailed(2, (T_GATE, T_GATE), 2000, seed=13)
         assert direct == via_protocol
 
     def test_gate_network_inputs(self):
         net = GateNetwork(2, (("H", (0,)), ("CNOT", (0, 1))))
-        report, transcript = run_protocol(2, (net, net), 2000, seed=14)
+        report, transcript, _ = run_protocol_detailed(2, (net, net), 2000, seed=14)
         assert abs(report.iota_exact - exact_iota(net, net)) <= 1e-12
         assert len(transcript.messages) == 6
 
@@ -430,7 +438,6 @@ class TestPrivacyAudit:
         empty = np.zeros(0, dtype=np.int8)
         record = MeasurementRecord(
             task=2,
-            shots=0,
             settings=(
                 SettingRecord("xx", "x", "x", empty, empty),
                 SettingRecord("yy", "y", "y", empty, empty),
@@ -447,7 +454,6 @@ class TestEstimatorInternals:
         ones = np.ones(n, dtype=np.int8)
         record = MeasurementRecord(
             task=2,
-            shots=4 * n,
             settings=(
                 SettingRecord("xx", "x", "x", ones, ones),
                 SettingRecord("yy", "y", "y", ones, -ones),
@@ -472,7 +478,7 @@ class TestEstimatorInternals:
     def test_rejects_records_without_the_task_settings(self, labels):
         ones = np.ones(8, dtype=np.int8)
         settings_ = tuple(SettingRecord(label, "x", "x", ones, ones) for label in labels)
-        record = MeasurementRecord(task=2, shots=8 * len(labels), settings=settings_)
+        record = MeasurementRecord(task=2, settings=settings_)
         with pytest.raises(ValueError, match="settings"):
             estimate_from_record(record)
 
@@ -481,7 +487,6 @@ class TestEstimatorInternals:
         empty = np.zeros(0, dtype=np.int8)
         record = MeasurementRecord(
             task=2,
-            shots=24,
             settings=tuple(
                 SettingRecord(label, "x", "x", arr, arr)
                 for label, arr in zip(ndqc2.LABELS[2], (ones, ones, empty, ones))
@@ -493,7 +498,7 @@ class TestEstimatorInternals:
     def test_scatter_dominates_on_noisy_data(self):
         # With genuinely random outcomes the 16-batch scatter is the quoted
         # error and tracks the binomial scale 4/sqrt(M).
-        report = sample_run(2, SZ, SZ, 40000, seed=20)
+        report, _ = sample_run_with_record(2, SZ, SZ, 40000, seed=20)
         assert 0.5 * 4 / math.sqrt(40000) <= report.se_empirical <= 2.0 * 4 / math.sqrt(40000)
 
     def test_uneven_shot_split(self):
@@ -603,7 +608,7 @@ def _random_record(task, counts, p_plus, gen):
             )
         else:
             records.append(SettingRecord(f"{spec_a}{spec_b}", spec_a, spec_b, alice, bob))
-    return MeasurementRecord(task=task, shots=sum(counts), settings=tuple(records))
+    return MeasurementRecord(task=task, settings=tuple(records))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,11 +23,14 @@ from .linalg import (
     DimensionMismatchError,
     InvalidStateError,
     as_square_matrix,
+    density_stack,
     hermitian_eig,
-    is_unitary,
     partial_trace,
+    partial_trace_stack,
     subsystem_indices,
     tensor,
+    tensor_stack,
+    unitarity_errors,
 )
 from .rng import DEFAULT_SEED, haar_unitary, substream
 
@@ -63,8 +66,7 @@ class ProductBasis:
             m = as_square_matrix(mat)
             if m.shape[0] != d:
                 raise DimensionMismatchError(f"local basis dim {m.shape[0]} != subsystem dim {d}")
-            if not is_unitary(m):
-                raise ValueError("local basis matrix is not unitary within 1e-9")
+            require_unitary_stack(m[None])
             m = m.copy()
             m.setflags(write=False)
             mats.append(m)
@@ -91,6 +93,13 @@ class ProductBasis:
         return ProductBasis(
             tuple(self.local_bases[i] for i in idx), tuple(self.dims[i] for i in idx)
         )
+
+
+def require_unitary_stack(stack: np.ndarray) -> None:
+    """``ProductBasis``'s check on each local basis of a (N, d, d) stack:
+    ``ValueError`` unless every one is unitary within 1e-9."""
+    if not np.all(unitarity_errors(stack) <= ATOL_SPECTRAL):
+        raise ValueError("local basis matrix is not unitary within 1e-9")
 
 
 def random_product_basis(dims: Sequence[int], gen: np.random.Generator) -> ProductBasis:
@@ -120,13 +129,28 @@ BIPARTITE_CUT: Cut = ((0,), (1,))
 # Dephasing
 
 
+@lru_cache(maxsize=64)
 def _dephase_mask(dims: tuple[int, ...], subsystems: tuple[int, ...]) -> np.ndarray:
+    """Entries a dephasing of ``subsystems`` keeps: those whose row and
+    column agree on every listed subsystem's digit."""
     total = int(np.prod(dims))
     digits = np.array(np.unravel_index(np.arange(total), dims))
     mask = np.ones((total, total), dtype=bool)
     for k in subsystems:
         mask &= digits[k][:, None] == digits[k][None, :]
+    mask.setflags(write=False)
     return mask
+
+
+def _dephased_stack(
+    rho: np.ndarray, frame: np.ndarray, dims: tuple[int, ...], subsystems: tuple[int, ...]
+) -> np.ndarray:
+    """``dephase`` of each state of a (N, d, d) stack in its own global basis
+    matrix (a (N, d, d) stack), before validation."""
+    frame_h = frame.conj().swapaxes(-2, -1)
+    inside = frame_h @ rho @ frame
+    inside[..., ~_dephase_mask(dims, subsystems)] = 0.0
+    return frame @ inside @ frame_h
 
 
 def dephase(
@@ -139,37 +163,49 @@ def dephase(
     """
     _check_basis(rho, basis)
     n = len(rho.dims)
-    subs = range(n) if subsystems is None else subsystem_indices(subsystems, n, "dephased")
-    b = basis.matrix
-    frame = b.conj().T @ rho.matrix @ b
-    if len(subs) == n:
-        frame = np.diag(np.diagonal(frame))
-    else:
-        frame[~_dephase_mask(rho.dims, subs)] = 0.0
-    return DensityMatrix(b @ frame @ b.conj().T, rho.dims)
+    subs = tuple(range(n)) if subsystems is None else subsystem_indices(subsystems, n, "dephased")
+    mat = _dephased_stack(rho.matrix[None], basis.matrix[None], rho.dims, subs)[0]
+    return DensityMatrix(mat, rho.dims)
 
 
 # ---------------------------------------------------------------------------
 # Entropies
 
 
-def entropy_of_probabilities(p: np.ndarray) -> float:
-    """Shannon entropy in bits with 0 log 0 := 0 and roundoff clamping.
+def entropies_of_probabilities(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each row of a (N, n) array, with
+    0 log 0 := 0 and roundoff clamping.
 
     Fails closed: a NaN entry (whose comparisons are all false) or an entry
     below the clamp floor raises ``ValueError``, and so does an infinite
-    entry, through the non-finite sum it leaves.
+    entry, through the non-finite sum it leaves; the first such row's
+    figure is named.  If any entry is zero or clamped, each row sums its
+    positive terms alone, as a shorter row would: a row's bits never depend
+    on the other rows.
     """
-    p = np.asarray(p).real.astype(np.float64, copy=False)
     if not p.min() >= EIGENVALUE_CLAMP:
+        lowest = p.min(axis=-1)
+        k = int(np.argmax(~(lowest >= EIGENVALUE_CLAMP)))
         raise ValueError(
-            f"probability {p.min():.3e} is NaN or below clamp floor {EIGENVALUE_CLAMP:.1e}"
+            f"probability {lowest[k]:.3e} is NaN or below clamp floor {EIGENVALUE_CLAMP:.1e}"
         )
-    nz = p[p > 0.0]
-    entropy = float(-(nz * np.log2(nz)).sum())
-    if not math.isfinite(entropy):
-        raise ValueError(f"entropy {entropy} of probabilities is not finite")
-    return entropy
+    positive = p > 0.0
+    if positive.all():
+        q = np.ascontiguousarray(p)
+        entropies = -(q * np.log2(q)).sum(axis=-1)
+    else:
+        entropies = np.array([-(nz * np.log2(nz)).sum() for nz in map(np.compress, positive, p)])
+    finite = np.isfinite(entropies)
+    if not finite.all():
+        raise ValueError(f"entropy {entropies[np.argmin(finite)]} of probabilities is not finite")
+    return entropies
+
+
+def entropy_of_probabilities(p: np.ndarray) -> float:
+    """Shannon entropy in bits of all entries of ``p``: one row of
+    ``entropies_of_probabilities``."""
+    p = np.asarray(p).real.astype(np.float64, copy=False)
+    return float(entropies_of_probabilities(p.reshape(1, -1))[0])
 
 
 def _eigvals_2x2(m: np.ndarray) -> np.ndarray:
@@ -191,9 +227,20 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return entropy_of_probabilities(rho.spectrum)
 
 
+def _von_neumann_entropies(states: np.ndarray) -> np.ndarray:
+    """``von_neumann_entropy`` of each state of a validated (N, d, d) stack:
+    the same closed form at d = 2 and the same ``eigh`` bits otherwise (a
+    validated state is exactly Hermitian, so ``hermitian_eig``'s
+    symmetrization leaves it as it is)."""
+    if states.shape[-1] == 2:
+        return entropies_of_probabilities(_eigvals_2x2(states))
+    return entropies_of_probabilities(np.linalg.eigh(states)[0])
+
+
 def _basis_probabilities(rho_mat: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Outcome probabilities <b_i|rho|b_i> of measuring rho in the columns of b."""
-    return (b.conj() * (rho_mat @ b)).sum(axis=0).real
+    """Outcome probabilities <b_i|rho|b_i> of measuring rho in the columns of
+    b; both may carry a leading stack axis."""
+    return (b.conj() * (rho_mat @ b)).sum(axis=-2).real
 
 
 def rec(rho: DensityMatrix, basis: ProductBasis) -> float:
@@ -207,12 +254,22 @@ def rec(rho: DensityMatrix, basis: ProductBasis) -> float:
     return entropy_of_probabilities(probs) - von_neumann_entropy(rho)
 
 
+def _cut_states(states: np.ndarray, dims: tuple[int, ...], groups: Cut) -> list[np.ndarray]:
+    """A validated (N, d, d) stack and its two validated marginal stacks."""
+    return [states] + [density_stack(partial_trace_stack(states, dims, g)) for g in groups]
+
+
+def mutual_information_stack(states: np.ndarray, dims: tuple[int, ...], groups: Cut) -> np.ndarray:
+    """S(A) + S(B) - S(AB) of each state of a validated (N, d, d) stack,
+    across normalized cut ``groups``."""
+    s_ab, s_a, s_b = (_von_neumann_entropies(m) for m in _cut_states(states, dims, groups))
+    return s_a + s_b - s_ab
+
+
 def mutual_information(rho: DensityMatrix, cut: Cut = BIPARTITE_CUT) -> float:
     """I(A:B) = S(A) + S(B) - S(AB) across the cut, in bits."""
-    group_a, group_b = normalize_cut(rho.dims, cut)
-    s_a = von_neumann_entropy(partial_trace(rho, group_a))
-    s_b = von_neumann_entropy(partial_trace(rho, group_b))
-    return s_a + s_b - von_neumann_entropy(rho)
+    groups = normalize_cut(rho.dims, cut)
+    return float(mutual_information_stack(rho.matrix[None], rho.dims, groups)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +311,53 @@ class CoherenceReport:
         }
 
 
+class CoherenceFigures(NamedTuple):
+    """``CoherenceReport``'s figures for a stack of N states, as arrays of
+    shape (N,), and (N, 2) for ``rec_local``."""
+
+    rec_global: np.ndarray
+    rec_local: np.ndarray
+    rec_net: np.ndarray
+    mutual_info: np.ndarray
+    mutual_info_dephased: np.ndarray
+
+
+def net_global_coherence_stack(
+    states: np.ndarray,
+    local_bases: Sequence[np.ndarray],
+    dims: Sequence[int],
+    cut: Cut = BIPARTITE_CUT,
+) -> CoherenceFigures:
+    """Net global coherence of each state of a stack, by both routes of
+    ``net_global_coherence``, in one pass of array code.
+
+    ``states`` is a (N, d, d) stack validated by ``density_stack``, and
+    ``local_bases[k]`` a (N, d_k, d_k) stack of the states' unitary bases
+    on subsystem k.  Member i's figures are bit for bit those of a one-state
+    call.  Neither the positivity floor nor the route agreement is checked:
+    the caller decides what a violation means.
+    """
+    dims = tuple(int(d) for d in dims)
+    groups = normalize_cut(dims, cut)
+    cut_states = _cut_states(states, dims, groups)
+    frames = [tensor_stack(*local_bases)] + [
+        tensor_stack(*(local_bases[k] for k in group)) for group in groups
+    ]
+    s_rho, s_a, s_b = entropies = [_von_neumann_entropies(m) for m in cut_states]
+    rec_global, *rec_locals = (
+        entropies_of_probabilities(_basis_probabilities(m, b)) - s
+        for m, b, s in zip(cut_states, frames, entropies)
+    )
+    dephased = density_stack(_dephased_stack(states, frames[0], dims, tuple(range(len(dims)))))
+    return CoherenceFigures(
+        rec_global=rec_global,
+        rec_local=np.stack(rec_locals, axis=-1),
+        rec_net=rec_global - sum(rec_locals),
+        mutual_info=s_a + s_b - s_rho,
+        mutual_info_dephased=mutual_information_stack(dephased, dims, groups),
+    )
+
+
 def net_global_coherence(
     rho: DensityMatrix, basis: ProductBasis, cut: Cut = BIPARTITE_CUT
 ) -> CoherenceReport:
@@ -264,31 +368,25 @@ def net_global_coherence(
     the tensor of group X's local bases.  Route two is S(rho_A) + S(rho_B) -
     S(rho), route one's three entropies, minus the dephased state's mutual
     information, for which it decomposes the dephased matrix and its
-    marginals itself: nine entropies in all.  The report checks that the
+    marginals itself: nine entropies in all.  The figures are the one-state
+    case of ``net_global_coherence_stack``.  The report checks that the
     routes agree within 1e-9.  A result below -1e-9 raises
     ``InvalidStateError``: a state whose eigenvalues sit just inside the PSD
     floor can pass ``DensityMatrix`` and still drive it there.
     """
     _check_basis(rho, basis)
-    groups = normalize_cut(rho.dims, cut)
-    states = [rho] + [partial_trace(rho, group) for group in groups]
-    frames = [basis.matrix] + [tensor(*(basis.local_bases[k] for k in group)) for group in groups]
-    s_rho, s_a, s_b = (von_neumann_entropy(state) for state in states)
-    rec_global, *rec_locals = (
-        entropy_of_probabilities(_basis_probabilities(state.matrix, b)) - s
-        for state, b, s in zip(states, frames, (s_rho, s_a, s_b))
+    figures = net_global_coherence_stack(
+        rho.matrix[None], [u[None] for u in basis.local_bases], rho.dims, cut
     )
-    net = rec_global - sum(rec_locals)
-    mi = s_a + s_b - s_rho
-    mi_deph = mutual_information(dephase(rho, basis), groups)
+    net = float(figures.rec_net[0])
     if net < PSD_FLOOR:
         raise InvalidStateError(f"net coherence {net:.3e} below the positivity floor")
     return CoherenceReport(
-        rec_global=rec_global,
-        rec_local=tuple(rec_locals),
+        rec_global=float(figures.rec_global[0]),
+        rec_local=tuple(figures.rec_local[0].tolist()),
         rec_net=net,
-        mutual_info=mi,
-        mutual_info_dephased=mi_deph,
+        mutual_info=float(figures.mutual_info[0]),
+        mutual_info_dephased=float(figures.mutual_info_dephased[0]),
     )
 
 

@@ -57,9 +57,15 @@ def is_hermitian(m: np.ndarray) -> bool:
     return bool(np.abs(a - a.conj().T).max() <= ATOL_IDENTITY)
 
 
+def unitarity_errors(u: np.ndarray) -> np.ndarray:
+    """max |U^dag U - I| of each matrix on the last two axes (NaN if any
+    entry is)."""
+    gram = u.conj().swapaxes(-2, -1) @ u
+    return np.abs(gram - np.eye(u.shape[-1])).max(axis=(-2, -1))
+
+
 def is_unitary(m: np.ndarray) -> bool:
-    a = as_square_matrix(m)
-    return matrices_equal(a.conj().T @ a, np.eye(a.shape[0]), ATOL_SPECTRAL)
+    return bool(unitarity_errors(as_square_matrix(m)) <= ATOL_SPECTRAL)
 
 
 def check_finite(a: np.ndarray, name: str, error: type[ValueError] = ValueError) -> None:
@@ -77,6 +83,18 @@ def tensor(*operands: np.ndarray) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
+def _kron_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # The entrywise products np.kron forms, with a leading stack axis.
+    n, da, db = a.shape[0], a.shape[-1], b.shape[-1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, da * db, da * db)
+
+
+def tensor_stack(*stacks: np.ndarray) -> np.ndarray:
+    """``tensor`` member by member over (N, d_k, d_k) stacks, with the same
+    bits as one ``tensor`` call per member."""
+    return reduce(_kron_pair, stacks)
+
+
 # ---------------------------------------------------------------------------
 # Density matrices
 
@@ -85,10 +103,11 @@ def tensor(*operands: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix with a subsystem-dimension signature.
 
-    Invariants checked at construction: hermiticity within 1e-10, unit trace
-    within 1e-10, and positive semidefiniteness with eigenvalues permitted
-    down to -1e-9 (roundoff floor); anything more negative, and any NaN or
-    infinite entry, is a hard error.
+    Invariants checked at construction, by ``density_stack`` on a one-member
+    stack: hermiticity within 1e-10, unit trace within 1e-10, and positive
+    semidefiniteness with eigenvalues permitted down to -1e-9 (roundoff
+    floor); anything more negative, and any NaN or infinite entry, is a hard
+    error.
     """
 
     matrix: np.ndarray
@@ -105,17 +124,7 @@ class DensityMatrix:
             raise DimensionMismatchError(
                 f"dims {dims} do not multiply to matrix dimension {mat.shape[0]}"
             )
-        # Before any arithmetic: an infinite entry would make herm_err NaN,
-        # with a numpy warning and a message that names no entry.
-        check_finite(mat, "rho", InvalidStateError)
-        herm_err = float(np.abs(mat - mat.conj().T).max())
-        if not herm_err <= ATOL_IDENTITY:
-            raise InvalidStateError(f"not Hermitian: max |rho_ij - conj(rho_ji)| = {herm_err:.3e}")
-        trace_err = abs(complex(mat.trace()) - 1.0)
-        if not trace_err <= ATOL_IDENTITY:
-            raise InvalidStateError(f"trace differs from 1 by {trace_err:.3e}")
-        sym = (mat + mat.conj().T) / 2.0
-        _require_psd(sym)
+        sym = density_stack(mat[None])[0]
         object.__setattr__(self, "matrix", sym)
         object.__setattr__(self, "dims", dims)
         self.matrix.setflags(write=False)
@@ -142,14 +151,48 @@ class DensityMatrix:
         return cls(np.outer(v, v.conj()), tuple(dims))
 
 
-def _require_psd(sym: np.ndarray) -> None:
-    # Cholesky of rho + (|floor| + slack) I succeeds iff min eigenvalue is
-    # above the PSD floor, up to rounding; cheap certificate at any dim.
-    shift = -PSD_FLOOR * (1.0 + 1e-6) + 1e-15
+# Cholesky of rho + (|floor| + slack) I succeeds iff the least eigenvalue is
+# above the PSD floor, up to rounding: a cheap certificate at any dim.
+_PSD_SHIFT = -PSD_FLOOR * (1.0 + 1e-6) + 1e-15
+
+
+def _cholesky_succeeds(m: np.ndarray) -> bool:
     try:
-        np.linalg.cholesky(sym + shift * np.eye(sym.shape[0]))
+        np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        raise InvalidStateError(f"not PSD: an eigenvalue lies below {PSD_FLOOR:.1e}") from None
+        return False
+    return True
+
+
+def density_stack(mats: np.ndarray) -> np.ndarray:
+    """``DensityMatrix``'s checks on each matrix of a (N, d, d) stack: finite
+    entries, then hermiticity and unit trace within 1e-10, then the PSD
+    certificate.  Returns the stack symmetrized, (M + M^dag) / 2.
+
+    The checks run on the whole stack at once.  If one fails, the first
+    member that fails raises the ``InvalidStateError`` it raises alone.
+    """
+    # inf - inf in a non-finite member would warn; that member's errors are
+    # NaN or infinite, so it fails the tolerances and check_finite names it.
+    with np.errstate(invalid="ignore"):
+        adj = mats.conj().swapaxes(-2, -1)
+        herm_err = np.abs(mats - adj).max(axis=(-2, -1))
+        trace_err = np.abs(mats.diagonal(0, -2, -1).sum(axis=-1) - 1.0)
+        sym = (mats + adj) / 2.0
+    shifted = sym + _PSD_SHIFT * np.eye(mats.shape[-1])
+    if np.all(np.maximum(herm_err, trace_err) <= ATOL_IDENTITY) and _cholesky_succeeds(shifted):
+        return sym
+    for k in range(len(mats)):
+        check_finite(mats[k], "rho", InvalidStateError)
+        if not herm_err[k] <= ATOL_IDENTITY:
+            raise InvalidStateError(
+                f"not Hermitian: max |rho_ij - conj(rho_ji)| = {herm_err[k]:.3e}"
+            )
+        if not trace_err[k] <= ATOL_IDENTITY:
+            raise InvalidStateError(f"trace differs from 1 by {trace_err[k]:.3e}")
+        if not _cholesky_succeeds(shifted[k]):
+            break
+    raise InvalidStateError(f"not PSD: an eigenvalue lies below {PSD_FLOOR:.1e}")
 
 
 def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
@@ -175,22 +218,27 @@ def subsystem_indices(indices: Iterable[int], n: int, name: str) -> tuple[int, .
     return out
 
 
-def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Partial trace of a raw matrix over the subsystems not in ``keep``."""
+def partial_trace_stack(mats: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
+    """Partial traces of a (N, d, d) stack over the subsystems not in ``keep``."""
     dims = tuple(int(d) for d in dims)
     n = len(dims)
     keep = subsystem_indices(keep, n, "keep")
     if not keep:
         raise DimensionMismatchError("must keep at least one subsystem")
-    a = as_square_matrix(mat).reshape(dims + dims)
+    a = mats.reshape(mats.shape[:1] + dims + dims)
     traced = [k for k in range(n) if k not in keep]
     # Trace highest indices first so earlier axis numbers stay valid.
     remaining = list(dims)
     for idx in sorted(traced, reverse=True):
-        a = np.trace(a, axis1=idx, axis2=idx + len(remaining))
+        a = np.trace(a, axis1=1 + idx, axis2=1 + idx + len(remaining))
         del remaining[idx]
     d_keep = math.prod(dims[k] for k in keep)
-    return a.reshape(d_keep, d_keep)
+    return a.reshape(-1, d_keep, d_keep)
+
+
+def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
+    """Partial trace of a raw matrix over the subsystems not in ``keep``."""
+    return partial_trace_stack(as_square_matrix(mat)[None], dims, keep)[0]
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
@@ -382,15 +430,20 @@ def compile_gate_network(network: GateNetwork) -> np.ndarray:
 # Random ensembles (seeded by the caller; see rng.substream)
 
 
+def hilbert_schmidt_stack(g: np.ndarray) -> np.ndarray:
+    """G G^dag / Tr(G G^dag) for each matrix of a (N, d, d) Ginibre stack;
+    not yet validated (see ``density_stack``)."""
+    m = g @ g.conj().swapaxes(-2, -1)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+
+
 def random_density_matrix(dims: Sequence[int], gen: np.random.Generator) -> DensityMatrix:
     """Hilbert-Schmidt random mixed state: normalized G G^dag, Ginibre G."""
     from .rng import ginibre
 
     dims = tuple(dims)
     d = int(np.prod(dims))
-    g = ginibre(d, gen)
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, dims)
+    return DensityMatrix(hilbert_schmidt_stack(ginibre(d, gen)[None])[0], dims)
 
 
 def random_pure_density(dims: Sequence[int], gen: np.random.Generator) -> DensityMatrix:

@@ -43,10 +43,15 @@ def ginibre(dim: int, gen: np.random.Generator) -> np.ndarray:
     return (gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))) / np.sqrt(2.0)
 
 
-def haar_unitary(dim: int, gen: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a Ginibre matrix with phase fixing."""
-    z = ginibre(dim, gen)
+def haar_unitaries(z: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries from a (N, d, d) stack of Ginibre matrices: one
+    batched QR, and each column's phase fixed by its R diagonal entry."""
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     phases = diag / np.abs(diag)
-    return q * phases.conj()
+    return q * phases.conj()[..., None, :]
+
+
+def haar_unitary(dim: int, gen: np.random.Generator) -> np.ndarray:
+    """Haar-random unitary: ``haar_unitaries`` on one Ginibre draw."""
+    return haar_unitaries(ginibre(dim, gen)[None])[0]

@@ -8,6 +8,7 @@ the worker count used to parallelize a sweep.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 from dataclasses import dataclass, field
@@ -24,18 +25,23 @@ from .coherence import (
     minimize_discord_pair,
     mutual_information,
     net_global_coherence,
+    net_global_coherence_stack,
     random_product_basis,
+    require_unitary_stack,
 )
 from .linalg import (
     ATOL_IDENTITY,
     ATOL_SPECTRAL,
     PSD_FLOOR,
     DensityMatrix,
+    density_stack,
     hermitian_eig,
+    hilbert_schmidt_stack,
     partial_trace,
     random_density_matrix,
     random_pure_density,
     tensor,
+    tensor_stack,
 )
 from .ndqc2 import (
     iota_factor,
@@ -43,7 +49,7 @@ from .ndqc2 import (
     privacy_audit,
     sample_run_with_record,
 )
-from .rng import haar_unitary, substream
+from .rng import ginibre, haar_unitaries, haar_unitary, substream
 
 SUITE_NAMES = ("thm4", "thm5", "thm6", "lemma1", "isomorphism", "se-scaling", "privacy")
 
@@ -70,6 +76,10 @@ _ENSEMBLES = {
 # Largest scaled family count; a larger ``--ensemble-size`` is refused
 # before any instance runs.
 MAX_FAMILY_SIZE = 10**6
+
+# Most instances in one sweep chunk.  A thm4 chunk is one stack of states,
+# so this bounds its arrays (a few MB at 2x4) at any ensemble size.
+MAX_CHUNK = 1000
 
 # Fixed ensemble parameters that ``--ensemble-size`` does not scale.
 _THM5_BASES = 20  # product bases sampled per thm5 state
@@ -108,35 +118,53 @@ def _families(suite: str, scale: float) -> tuple[tuple[str, int], ...]:
     return tuple((family, max(1, int(round(n * scale)))) for family, n in _ENSEMBLES[suite])
 
 
-def _chunk_rows(args: tuple) -> list[dict]:
-    instance, seed, family, start, stop = args
+def _chunk_plan(count: int, workers: int) -> list[tuple[int, int]]:
+    """(start, stop) index ranges that cut a family of ``count`` instances
+    into chunks: one chunk with one worker, about four per worker with more,
+    and never more than ``MAX_CHUNK`` instances in a chunk."""
+    size = count if workers <= 1 else math.ceil(count / (4 * workers))
+    size = min(max(size, 1), MAX_CHUNK)
+    return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
+
+def _instance_rows(
+    instance: Callable[[int, str, int], dict], seed: int, family: str, start: int, stop: int
+) -> list[dict]:
     return [instance(seed, family, i) for i in range(start, stop)]
 
 
+def _each(instance: Callable[[int, str, int], dict]) -> Callable[..., list[dict]]:
+    """Chunk rows for a suite whose rows are ``instance(seed, family, i)``."""
+    return functools.partial(_instance_rows, instance)
+
+
 def _sweep(
-    instance: Callable[[int, str, int], dict],
+    chunk_rows: Callable[[int, str, int, int], list[dict]],
     seed: int,
     families: Sequence[tuple[str, int]],
     workers: int,
 ) -> list[dict]:
-    """Rows ``instance(seed, family, i)`` for each (family, count) pair and
-    each i < count, in family order and then index order.
+    """Rows ``chunk_rows(seed, family, start, stop)`` for each (family,
+    count) pair, cut by ``_chunk_plan``, in family order and then index
+    order.
 
-    Every family is cut into about four chunks per worker, and a fork pool
-    runs the chunks when ``workers`` > 1.  Each instance draws from its own
-    substream, so the rows do not depend on the chunking or worker count.
+    With one worker every family of up to ``MAX_CHUNK`` instances is one
+    chunk; with more, every family is cut into about four chunks per worker
+    and a fork pool runs them.  thm4 computes each chunk as stacked arrays;
+    the other suites run its instances one by one.  Each instance draws
+    from its own substream, so the rows do not depend on the chunking or
+    the worker count.
     """
-    chunks = []
-    for family, count in families:
-        size = max(1, math.ceil(count / (4 * max(workers, 1))))
-        chunks += [
-            (instance, seed, family, lo, min(lo + size, count)) for lo in range(0, count, size)
-        ]
+    chunks = [
+        (seed, family, lo, hi)
+        for family, count in families
+        for lo, hi in _chunk_plan(count, workers)
+    ]
     if workers <= 1 or len(chunks) <= 1:
-        parts = [_chunk_rows(chunk) for chunk in chunks]
+        parts = [chunk_rows(*chunk) for chunk in chunks]
     else:
         with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
-            parts = pool.map(_chunk_rows, chunks)
+            parts = pool.starmap(chunk_rows, chunks)
     return [row for part in parts for row in part]
 
 
@@ -156,47 +184,77 @@ def dephased_mutual_info(rho: DensityMatrix, basis: ProductBasis, cut=BIPARTITE_
 # Positivity and route agreement (thm4)
 
 
+def _cc_stack(frame: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """States diagonal in each global basis matrix of a (N, d, d) stack, with
+    the eigenvalues ``weights`` (N, d) normalized; not yet validated."""
+    p = weights / weights.sum(axis=-1, keepdims=True)
+    return (frame * p[:, None, :]) @ frame.conj().swapaxes(-2, -1)
+
+
 def _random_cc_diagonal(dims, gen) -> tuple[DensityMatrix, ProductBasis]:
     basis = random_product_basis(dims, gen)
     p = gen.random(int(np.prod(dims)))
-    p /= p.sum()
-    b = basis.matrix
-    mat = (b * p) @ b.conj().T
-    return DensityMatrix(mat, tuple(dims)), basis
+    return DensityMatrix(_cc_stack(basis.matrix[None], p[None])[0], tuple(dims)), basis
 
 
 _THM4_LANES = {"2x2": 0, "2x4": 1, "product": 2, "cc": 3}
+_THM4_DIMS = {"2x2": (2, 2), "2x4": (2, 4), "product": (2, 2), "cc": (2, 2)}
 
 
-def _thm4_row(seed: int, kind: str, i: int) -> dict:
-    gen = substream(seed, _LANE_THM4, _THM4_LANES[kind], i)
-    if kind in ("2x2", "2x4"):
-        dims = (2, 2) if kind == "2x2" else (2, 4)
-        rho = random_density_matrix(dims, gen)
-        basis = random_product_basis(dims, gen)
-    elif kind == "product":
-        dims = (2, 2)
-        a = random_density_matrix((2,), gen)
-        b = random_density_matrix((2,), gen)
-        rho = DensityMatrix(tensor(a.matrix, b.matrix), dims)
-        basis = random_product_basis(dims, gen)
+def _thm4_draws(
+    gen: np.random.Generator, kind: str, dims: tuple[int, int]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """One thm4 instance's random draws, (state draws, basis draws), taken
+    in the order of the one-state generators: a Hilbert-Schmidt state's
+    Ginibre matrix (for "product", one per factor) and then the basis's, or
+    for "cc" the basis's and then the eigenvalue weights."""
+    if kind == "cc":
+        bases = [ginibre(d, gen) for d in dims]
+        return [gen.random(math.prod(dims))], bases
+    if kind == "product":
+        states = [ginibre(d, gen) for d in dims]
     else:
-        rho, basis = _random_cc_diagonal((2, 2), gen)
-    report = net_global_coherence(rho, basis, BIPARTITE_CUT)
-    route7 = report.rec_global - sum(report.rec_local)
-    route8 = report.mutual_info - report.mutual_info_dephased
-    return {
-        "kind": kind,
-        "index": i,
-        "rec_net": report.rec_net,
-        "route_gap": abs(route7 - route8),
-    }
+        states = [ginibre(math.prod(dims), gen)]
+    return states, [ginibre(d, gen) for d in dims]
+
+
+def _thm4_rows(seed: int, kind: str, start: int, stop: int) -> list[dict]:
+    """thm4 rows for instances ``start`` to ``stop - 1`` of one family.
+
+    Each instance draws from its own substream (``_thm4_draws``); all that
+    follows runs once on the chunk's stacks: the Haar bases and their
+    unitarity checks, the states and their ``DensityMatrix`` checks, and
+    ``net_global_coherence_stack``.  The rows hold its figures, so the
+    suite, not an exception, reports a floor or route violation.
+    """
+    dims = _THM4_DIMS[kind]
+    lane = _THM4_LANES[kind]
+    draws = [
+        _thm4_draws(substream(seed, _LANE_THM4, lane, i), kind, dims) for i in range(start, stop)
+    ]
+    state_draws = [np.stack(column) for column in zip(*(states for states, _ in draws))]
+    bases = [haar_unitaries(np.stack(column)) for column in zip(*(b for _, b in draws))]
+    for u in bases:
+        require_unitary_stack(u)
+    if kind == "cc":
+        states = density_stack(_cc_stack(tensor_stack(*bases), state_draws[0]))
+    else:
+        factors = [density_stack(hilbert_schmidt_stack(g)) for g in state_draws]
+        states = density_stack(tensor_stack(*factors)) if kind == "product" else factors[0]
+    figures = net_global_coherence_stack(states, bases, dims, BIPARTITE_CUT)
+    route_gaps = np.abs(figures.rec_net - (figures.mutual_info - figures.mutual_info_dephased))
+    return [
+        {"kind": kind, "index": i, "rec_net": net, "route_gap": gap}
+        for i, net, gap in zip(range(start, stop), figures.rec_net.tolist(), route_gaps.tolist())
+    ]
 
 
 def suite_thm4(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
     """Net-coherence positivity and two-route agreement on random ensembles,
-    with equality on product states and basis-diagonal CC states."""
-    rows = _sweep(_thm4_row, seed, _families("thm4", scale), workers)
+    with equality on product states and basis-diagonal CC states.  A state
+    below the positivity floor or with routes more than 1e-9 apart is a
+    failure of its row."""
+    rows = _sweep(_thm4_rows, seed, _families("thm4", scale), workers)
     failures = []
     for row in rows:
         if row["rec_net"] < PSD_FLOOR:
@@ -246,7 +304,7 @@ def _thm5_row(seed: int, kind: str, i: int) -> dict:
 def suite_thm5(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
     """Pure-state law: entangled iff positive net coherence, product implies
     zero, checked in 20 sampled product bases per state."""
-    rows = _sweep(_thm5_row, seed, _families("thm5", scale), workers)
+    rows = _sweep(_each(_thm5_row), seed, _families("thm5", scale), workers)
     failures = []
     for row in rows:
         if math.isnan(row["rec_net_min"]):
@@ -319,7 +377,7 @@ def suite_thm6(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
     """Rotated CC states: the discord minimizer recovers a basis with
     vanishing net coherence.  Discordant states: positive net coherence in
     each of 50 sampled product bases."""
-    rows = _sweep(_thm6_row, seed, _families("thm6", scale), workers)
+    rows = _sweep(_each(_thm6_row), seed, _families("thm6", scale), workers)
     failures = []
     for row in rows:
         if row["kind"] == "cc":
@@ -415,7 +473,7 @@ def _lemma1_row(seed: int, _family: str, i: int) -> dict:
 def suite_lemma1(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
     """Agreement of the definitional and sparsity strictness tests across
     random channels, plus the canonical pass and fail cases."""
-    rows = _sweep(_lemma1_row, seed, _families("lemma1", scale), workers)
+    rows = _sweep(_each(_lemma1_row), seed, _families("lemma1", scale), workers)
     failures = []
     for row in rows:
         if row["strict"] and not row["incoherent"]:
@@ -485,7 +543,7 @@ def _iso_row(seed: int, _family: str, i: int) -> dict:
 def suite_isomorphism(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
     """Embedding of stochastic maps round-trips exactly and reproduces the
     classical action on diagonal states."""
-    rows = _sweep(_iso_row, seed, _families("isomorphism", scale), workers)
+    rows = _sweep(_each(_iso_row), seed, _families("isomorphism", scale), workers)
     failures = []
     for row in rows:
         if not row["strict"]:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import bell_state, cc_state, two_control_mixture, werner
+from netcoh import verify
 from netcoh.cli import main, worker_count
 from netcoh.linalg import MAX_GATE_QUBITS, matrix_to_json, random_density_matrix
 from netcoh.ndqc2 import MAX_SHOTS
@@ -450,6 +451,67 @@ class TestVerifyCommand:
         monkeypatch.setenv("NETCOH_WORKERS", "2")
         assert main(["verify", "thm4", "--ensemble-size", "0.04", "--out", str(out2)]) == 0
         assert (out1 / "thm4.json").read_bytes() == (out2 / "thm4.json").read_bytes()
+
+    def test_thm4_chunking_does_not_change_results(self, tmp_path, monkeypatch):
+        # thm4 stacks a whole chunk into one computation; chunks of 1, of 7
+        # and of a whole family give the same bytes.
+        argv = ["verify", "thm4", "--ensemble-size", "0.04", "--seed", "7", "--format", "json"]
+        reports = []
+        for limit in (1, 7, verify.MAX_CHUNK):
+            monkeypatch.setattr(verify, "MAX_CHUNK", limit)
+            assert main(argv + ["--out", str(tmp_path / str(limit))]) == 0
+            reports.append((tmp_path / str(limit) / "thm4.json").read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+        assert hashlib.sha256(reports[0]).hexdigest() == GOLDEN_VERIFY_SHA256["thm4", "0.04"]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_chunk_plan_is_bounded(self, workers):
+        # The plan alone: no instance runs, so 10**6 instances cost nothing.
+        for count in (1, 7, 40, MAX_FAMILY_SIZE):
+            plan = verify._chunk_plan(count, workers)
+            assert plan[0][0] == 0 and plan[-1][1] == count
+            assert all(hi == lo for (_, hi), (lo, _) in zip(plan, plan[1:]))
+            assert all(0 < hi - lo <= verify.MAX_CHUNK for lo, hi in plan)
+        assert verify._chunk_plan(40, 1) == [(0, 40)]
+        largest = verify._chunk_plan(MAX_FAMILY_SIZE, workers)
+        assert len(largest) == MAX_FAMILY_SIZE // verify.MAX_CHUNK
+        if workers > 1:
+            assert len(verify._chunk_plan(400, workers)) == 4 * workers
+
+    def test_thm4_route_violation_is_a_failure_row(self, tmp_path, monkeypatch, capsys):
+        # A route gap over 1e-9 once raised out of the report with no
+        # instance named (exit 2); the sweep now records it per row.
+        import netcoh.coherence as coherence
+
+        original = coherence.mutual_information_stack
+        monkeypatch.setattr(
+            coherence, "mutual_information_stack", lambda *args: original(*args) + 2e-9
+        )
+        assert main(["verify", "thm4", "--ensemble-size", "0.01", "--seed", "7"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "thm4: FAIL, 15 instances (15 failures)"
+        assert lines[1] == "  2x2[0]: route gap 2.000e-09"
+        # A one-state report still refuses the disagreement.
+        path = write_state(tmp_path / "bell.json", bell_state(), (2, 2))
+        assert main(["coherence", path]) == 2
+        assert "mutual-information route" in capsys.readouterr().err
+
+    def test_thm4_floor_violation_is_a_failure_row(self, monkeypatch, capsys):
+        import netcoh.coherence as coherence
+
+        original = coherence.net_global_coherence_stack
+
+        def below_floor(*args):
+            figures = original(*args)
+            return figures._replace(
+                rec_net=figures.rec_net - 1.0,
+                mutual_info_dephased=figures.mutual_info_dephased + 1.0,
+            )
+
+        monkeypatch.setattr(verify, "net_global_coherence_stack", below_floor)
+        assert main(["verify", "thm4", "--ensemble-size", "0.01", "--seed", "7"]) == 1
+        failures = capsys.readouterr().out.splitlines()[1:]
+        assert failures[0].startswith("  2x2[0]: rec_net -") and failures[0].endswith(" < -1e-9")
 
 
 def test_options_are_refused_where_unread(tmp_path, capsys, control_state_file):

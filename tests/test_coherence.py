@@ -21,9 +21,11 @@ from netcoh.coherence import (
     minimize_discord,
     mutual_information,
     net_global_coherence,
+    net_global_coherence_stack,
     normalize_cut,
     random_product_basis,
     rec,
+    require_unitary_stack,
     von_neumann_entropy,
 )
 from netcoh.linalg import (
@@ -31,6 +33,7 @@ from netcoh.linalg import (
     DimensionMismatchError,
     maximally_mixed,
     random_density_matrix,
+    random_pure_density,
     tensor,
 )
 from netcoh.rng import haar_unitary, substream
@@ -305,12 +308,11 @@ class TestNetGlobalCoherence:
         assert report.rec_net >= -1e-9
 
     def test_each_spectrum_decomposed_once(self, monkeypatch):
-        import netcoh.linalg as linalg
-
+        # Every eigendecomposition, one-state or stacked, goes through eigh.
         dims_seen = []
-        original = linalg.hermitian_eig
+        original = np.linalg.eigh
         monkeypatch.setattr(
-            linalg, "hermitian_eig", lambda m: dims_seen.append(m.shape[0]) or original(m)
+            np.linalg, "eigh", lambda m: dims_seen.append(m.shape[-1]) or original(m)
         )
         gen = substream(14, 2000)
         rho = random_density_matrix((2,) * 5, gen)
@@ -324,29 +326,70 @@ class TestNetGlobalCoherence:
         assert report.mutual_info == mutual_information(rho, cut)
         assert report.mutual_info_dephased == mutual_information(dephase(rho, basis), cut)
 
+    @pytest.mark.parametrize(
+        "dims, cut",
+        [((2, 2), ((0,), (1,))), ((2, 4), ((0,), (1,))), ((2, 2, 2), ((0,), (1, 2)))],
+    )
+    def test_stack_matches_one_state_reports_bit_for_bit(self, dims, cut):
+        gen = substream(14, 4000)
+        states, bases = [], []
+        for kind in ("mixed", "pure", "mixed", "product", "cc", "mixed", "pure"):
+            basis = random_product_basis(dims, gen)
+            if kind == "mixed":
+                rho = random_density_matrix(dims, gen)
+            elif kind == "pure":
+                rho = random_pure_density(dims, gen)
+            elif kind == "product":
+                factors = (random_density_matrix((d,), gen).matrix for d in dims)
+                rho = DensityMatrix(tensor(*factors), dims)
+            else:  # diagonal in its own basis
+                p = gen.random(basis.dim)
+                rho = DensityMatrix((basis.matrix * (p / p.sum())) @ basis.matrix.conj().T, dims)
+            states.append(rho)
+            bases.append(basis)
+        figures = net_global_coherence_stack(
+            np.stack([rho.matrix for rho in states]),
+            [np.stack([b.local_bases[k] for b in bases]) for k in range(len(dims))],
+            dims,
+            cut,
+        )
+        for i, (rho, basis) in enumerate(zip(states, bases)):
+            report = net_global_coherence(rho, basis, cut)
+            assert figures.rec_global[i] == report.rec_global
+            assert tuple(figures.rec_local[i]) == report.rec_local
+            assert figures.rec_net[i] == report.rec_net
+            assert figures.mutual_info[i] == report.mutual_info
+            assert figures.mutual_info_dephased[i] == report.mutual_info_dephased
+
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4)])
     def test_each_entropy_taken_once(self, dims, monkeypatch):
         import netcoh.coherence as coherence
-        import netcoh.linalg as linalg
 
         gen = substream(14, 3000)
         rho = random_density_matrix(dims, gen)
         basis = random_product_basis(dims, gen)
+        # The report is the one-state case of the stacked kernel: count the
+        # rows of its entropies and the members of its validated stacks.
         entropies, validated = [], []
-        entropy, validate = coherence.entropy_of_probabilities, linalg.DensityMatrix.__post_init__
+        entropy, validate = coherence.entropies_of_probabilities, coherence.density_stack
         monkeypatch.setattr(
-            coherence, "entropy_of_probabilities", lambda p: entropies.append(p) or entropy(p)
+            coherence,
+            "entropies_of_probabilities",
+            lambda p: entropies.extend(p) or entropy(p),
         )
         monkeypatch.setattr(
-            linalg.DensityMatrix, "__post_init__", lambda s: validated.append(s.dims) or validate(s)
+            coherence,
+            "density_stack",
+            lambda m: validated.extend([m.shape[-1]] * len(m)) or validate(m),
         )
         report = net_global_coherence(rho, basis)
         monkeypatch.undo()
         # S(rho), S(rho_A), S(rho_B), H(p), H(p_A), H(p_B), and S of the
         # dephased state and of its two marginals, each once.
         assert len(entropies) == 9
-        # Both marginals, the dephased state and both of its marginals.
-        assert sorted(validated) == sorted([(2,), (2,), (dims[1],), (dims[1],), dims])
+        # Both marginals, the dephased state and both of its marginals; the
+        # state itself was validated when it was built.
+        assert sorted(validated) == sorted([2, 2, dims[1], dims[1], rho.dim])
         assert report.rec_net >= -1e-9
 
     def test_report_invariants_enforced(self):
@@ -495,6 +538,16 @@ class TestProductBasis:
     def test_rejects_non_unitary_locals(self):
         with pytest.raises(ValueError):
             ProductBasis((np.array([[1.0, 1.0], [0.0, 1.0]]),), (2,))
+
+    def test_stack_with_one_non_unitary_basis_rejected(self):
+        gen = substream(17, 1)
+        stack = np.stack([haar_unitary(2, gen) for _ in range(5)])
+        require_unitary_stack(stack)
+        stack[3] *= 1.0 + 1e-8
+        with pytest.raises(ValueError, match="not unitary within 1e-9"):
+            require_unitary_stack(stack)
+        with pytest.raises(ValueError, match="not unitary within 1e-9"):
+            ProductBasis((stack[3],), (2,))
 
     def test_rejects_dims_mismatch(self):
         with pytest.raises(DimensionMismatchError):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from netcoh.linalg import (
     InvalidStateError,
     NotHermitianError,
     compile_gate_network,
+    density_stack,
     gate_network_from_json,
     gate_network_to_json,
     hermitian_eig,
@@ -89,6 +92,33 @@ class TestDensityMatrix:
         m[0, 1] = m[1, 0] = bad
         with pytest.raises(InvalidStateError):
             DensityMatrix(m, (2, 2))
+
+    @pytest.mark.parametrize("flaw", ["nan", "non-hermitian", "trace", "negative", "inf"])
+    def test_stack_fails_closed_per_member(self, flaw):
+        gen = substream(3, 5)
+        stack = np.stack([random_density_matrix((2, 2), gen).matrix for _ in range(6)])
+        assert np.array_equal(density_stack(stack), stack)
+        bad = stack[4].copy()
+        if flaw in ("nan", "inf"):
+            bad[1, 2] = np.nan if flaw == "nan" else np.inf
+        elif flaw == "non-hermitian":
+            bad[0, 3] += 1e-9
+        elif flaw == "trace":
+            bad += 1e-9 / 4 * np.eye(4)
+        else:
+            w, v = np.linalg.eigh(bad)
+            w[0], w[-1] = -1e-8, w[-1] + w[0] + 1e-8
+            bad = (v * w) @ v.conj().T
+        with pytest.raises(InvalidStateError) as alone:
+            DensityMatrix(bad, (2, 2))
+        stack[4] = bad
+        with pytest.raises(InvalidStateError) as stacked:
+            density_stack(stack)
+        assert str(stacked.value) == str(alone.value)
+        # A later bad member does not mask the first one's message.
+        stack[5] = np.eye(4)
+        with pytest.raises(InvalidStateError, match=re.escape(str(alone.value))):
+            density_stack(stack)
 
     def test_spectrum_is_decomposed_once(self, monkeypatch):
         import netcoh.linalg as linalg

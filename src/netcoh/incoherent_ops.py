@@ -2,7 +2,8 @@
 
 Covers verification of incoherent and strict-incoherent channels, the
 permutation generators of the classical-gate image, the dephase-sandwich
-construction, and the classical-computation embedding and extraction maps.
+construction, the classical-computation embedding and extraction maps, and
+a generator of random incoherent channels.
 
 All structural checks are relative to a ProductBasis: Kraus operators are
 expressed in that basis frame before testing sparsity patterns.  Entries of
@@ -10,20 +11,28 @@ magnitude at most 1e-10 are treated as structural zeros, matching the
 package-wide identity tolerance.
 
 A channel is held as one read-only complex (K, d, d) stack of its Kraus
-operators, and the checks are array code over it: the sparsity tests take
-one support mask over the stack in the basis frame, and each witness is the
-first hit in operator, then column (or row) order (``argmax`` over the
-flattened mask).  The matrix-unit test visits one operator at a time, so it
-can stop at the first that fails: for F it forms the d x d x d products
+operators.  The checks are array code over a zero-padded (N, K, d, d) stack
+of N channels, and a one-channel check is its N = 1 case: ``pad_kraus``
+appends zero operators to the shorter sets, which add exact 0.0 to every
+sum and no support, so no verdict or witness moves.
+``require_kraus_stack`` validates each member as ``KrausChannel`` does,
+``in_frame_stack`` takes every member into its own basis frame, and
+``incoherent_stack`` and ``strict_incoherent_stack`` return each member's
+verdict and witness.  The sparsity tests take one support mask over the
+stack, and each witness is the first hit in operator, then column (or row)
+order (``argmax`` over the member's flattened mask).  The matrix-unit test
+visits one operator index at a time, for every member not yet failed, and
+stops once all have failed: for F it forms the d x d x d products
 F_ak conj(F_bl) with a = b and with k = l, which bounds its working memory
-at O(d^3) per operator, not O(K d^3) per channel.  ``embed_classical`` and
-``sandwich_dephase`` stack basis outer products into their Kraus sets.
+at O(N d^3) per operator index, so O(d^3) for one channel, not O(K d^3).
+``embed_classical`` and ``sandwich_dephase`` stack basis outer products into
+their Kraus sets.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +43,7 @@ from .linalg import (
     DensityMatrix,
     DimensionMismatchError,
     check_finite,
+    hermitian_eig,
 )
 
 STRUCTURAL_ZERO = ATOL_IDENTITY
@@ -56,16 +66,7 @@ class KrausChannel:
             ops = np.array(self.kraus, dtype=complex)
         except ValueError as exc:
             raise DimensionMismatchError(f"Kraus operators must form one array: {exc}") from exc
-        if ops.size == 0:
-            raise ValueError("a channel needs at least one Kraus operator")
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-            raise DimensionMismatchError(f"expected a (K, d, d) Kraus stack, got {ops.shape}")
-        check_finite(ops, "F")
-        # reduce adds in operator order, as a loop does; sum(axis=0) may not.
-        total = reduce(np.add, ops.conj().transpose(0, 2, 1) @ ops)
-        err = float(np.max(np.abs(total - np.eye(ops.shape[1]))))
-        if not err <= ATOL_SPECTRAL:  # fails on NaN too
-            raise ValueError(f"Kraus completeness violated: ||sum F'F - I||_max = {err:.3e}")
+        require_kraus_stack(ops[None])
         ops.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
 
@@ -76,6 +77,44 @@ class KrausChannel:
     @classmethod
     def unitary(cls, u: np.ndarray) -> "KrausChannel":
         return cls((u,))
+
+
+def pad_kraus(sets: Sequence[np.ndarray]) -> np.ndarray:
+    """One complex (N, K, d, d) stack of N Kraus sets of d x d operators,
+    the shorter sets zero-padded at the end of the operator axis."""
+    k = max(len(ops) for ops in sets)
+    d = sets[0].shape[-1]
+    stack = np.zeros((len(sets), k, d, d), dtype=complex)
+    for member, ops in zip(stack, sets):
+        member[: len(ops)] = ops
+    return stack
+
+
+def require_kraus_stack(stack: np.ndarray) -> None:
+    """``KrausChannel``'s checks on each member of a zero-padded (N, K, d, d)
+    stack: a (K, d, d) shape, finite entries, then completeness,
+    || sum_i F_i^dag F_i - I ||_max <= 1e-9.
+
+    The checks run on the whole stack at once.  If one fails, the first
+    member that fails raises the error it raises alone.
+    """
+    if stack.size == 0:
+        raise ValueError("a channel needs at least one Kraus operator")
+    if stack.ndim != 4 or stack.shape[2] != stack.shape[3]:
+        raise DimensionMismatchError(f"expected a (K, d, d) Kraus stack, got {stack.shape[1:]}")
+    # A non-finite member's products would warn; its error is NaN or
+    # infinite, so it fails the tolerance and check_finite names it.
+    with np.errstate(invalid="ignore"):
+        products = stack.conj().swapaxes(-2, -1) @ stack
+        # reduce adds in operator order, as a loop does; sum(axis=1) may not.
+        total = reduce(np.add, products.swapaxes(0, 1))
+        errs = np.abs(total - np.eye(stack.shape[-1])).max(axis=(-2, -1))
+    if np.all(errs <= ATOL_SPECTRAL):  # fails on NaN too
+        return
+    for member, err in zip(stack, errs.tolist()):
+        check_finite(member, "F")
+        if not err <= ATOL_SPECTRAL:
+            raise ValueError(f"Kraus completeness violated: ||sum F'F - I||_max = {err:.3e}")
 
 
 def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -93,12 +132,17 @@ def compose_channels(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
     return KrausChannel((outer.kraus[:, None] @ inner.kraus[None]).reshape(-1, d, d))
 
 
+def in_frame_stack(kraus: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Each member of a (N, K, d, d) Kraus stack in its own basis frame,
+    B^dag F B, for a (N, d, d) stack of global basis matrices B."""
+    return bases.conj().swapaxes(-2, -1)[:, None] @ kraus @ bases[:, None]
+
+
 def _in_frame(channel: KrausChannel, basis: ProductBasis) -> np.ndarray:
     """The Kraus operators in the basis frame, as one (K, d, d) stack."""
     if channel.dim != basis.dim:
         raise DimensionMismatchError(f"channel dim {channel.dim} != basis dim {basis.dim}")
-    b = basis.matrix
-    return b.conj().T @ channel.kraus @ b
+    return in_frame_stack(channel.kraus[None], basis.matrix[None])[0]
 
 
 @dataclass(frozen=True)
@@ -119,6 +163,31 @@ class StrictnessWitness:
     bra: int
 
 
+def _first_hits(bad: np.ndarray) -> list[int | None]:
+    """Per member of a (N, ...) mask, the flat index of its first True
+    entry, or None if it has none."""
+    flat = bad.reshape(len(bad), -1)
+    hits = flat.argmax(axis=1).tolist()
+    return [j if any_bad else None for any_bad, j in zip(flat.any(axis=1).tolist(), hits)]
+
+
+def incoherent_stack(frames: np.ndarray) -> list[tuple[bool, ColumnWitness | None]]:
+    """``is_incoherent``'s verdict and witness for each member of a (N, K, d, d)
+    stack of Kraus operators in their basis frames."""
+    support = np.abs(frames) > STRUCTURAL_ZERO
+    d = frames.shape[-1]
+    bad = support.sum(axis=2) > 1  # (N, K, d): columns with several non-zero rows
+    verdicts = []
+    for member, hit in zip(support, _first_hits(bad)):
+        if hit is None:
+            verdicts.append((True, None))
+            continue
+        i, col = divmod(hit, d)
+        rows = tuple(int(r) for r in np.nonzero(member[i, :, col])[0])
+        verdicts.append((False, ColumnWitness(i, col, rows)))
+    return verdicts
+
+
 def is_incoherent(
     channel: KrausChannel, basis: ProductBasis
 ) -> tuple[bool, ColumnWitness | None]:
@@ -128,57 +197,68 @@ def is_incoherent(
     operator in the basis frame.  On failure the witness names the first
     offending (kraus, column) with its non-zero rows.
     """
-    support = np.abs(_in_frame(channel, basis)) > STRUCTURAL_ZERO
-    bad = support.sum(axis=1) > 1  # (K, d): columns with several non-zero rows
-    if not bad.any():
-        return True, None
-    i, col = np.unravel_index(np.argmax(bad), bad.shape)
-    rows = tuple(int(r) for r in np.nonzero(support[i, :, col])[0])
-    return False, ColumnWitness(int(i), int(col), rows)
+    return incoherent_stack(_in_frame(channel, basis)[None])[0]
 
 
-def _sparsity_strict(frames: np.ndarray) -> tuple[bool, StrictnessWitness | None]:
+def _sparsity_strict(frames: np.ndarray) -> list[tuple[bool, StrictnessWitness | None]]:
     # Per operator, a bad column is reported before a bad row.
     support = np.abs(frames) > STRUCTURAL_ZERO
     d = frames.shape[-1]
-    bad = np.concatenate((support.sum(axis=1) > 1, support.sum(axis=2) > 1), axis=1)
-    if not bad.any():
-        return True, None
-    i, j = np.unravel_index(np.argmax(bad), bad.shape)
-    if j < d:
-        row = np.nonzero(support[i, :, j])[0][0]
-        return False, StrictnessWitness(int(i), int(row), int(j))
-    col = np.nonzero(support[i, j - d, :])[0][0]
-    return False, StrictnessWitness(int(i), int(j - d), int(col))
+    bad = np.concatenate((support.sum(axis=2) > 1, support.sum(axis=3) > 1), axis=2)
+    verdicts = []
+    for member, hit in zip(support, _first_hits(bad)):
+        if hit is None:
+            verdicts.append((True, None))
+            continue
+        i, j = divmod(hit, 2 * d)
+        if j < d:
+            row = np.nonzero(member[i, :, j])[0][0]
+            verdicts.append((False, StrictnessWitness(i, int(row), j)))
+        else:
+            col = np.nonzero(member[i, j - d, :])[0][0]
+            verdicts.append((False, StrictnessWitness(i, j - d, int(col))))
+    return verdicts
 
 
-def _matrix_unit_strict(frames: np.ndarray) -> tuple[bool, StrictnessWitness | None]:
+def _matrix_unit_strict(frames: np.ndarray) -> list[tuple[bool, StrictnessWitness | None]]:
     # Definitional check: dephasing commutes with each Kraus operator on
     # every matrix unit |k><l|.  F|k><l|F^dag has entries F_ak conj(F_bl);
     # the commutator keeps its diagonal (a = b) when k != l and its
-    # off-diagonal (a != b) when k = l.
-    diag = np.arange(frames.shape[-1])
-    for i, (f, fc) in enumerate(zip(frames, frames.conj())):
-        gap = np.abs(f[:, :, None] * fc[:, None, :]).max(axis=0)  # [k, l], a = b
-        same = np.abs(f[:, None, :] * fc[None, :, :])  # [a, b, k], k = l
-        same[diag, diag] = 0.0
-        gap[diag, diag] = same.max(axis=(0, 1))
-        above = gap > STRUCTURAL_ZERO
-        if above.any():
-            k, l = np.unravel_index(np.argmax(above), above.shape)
-            return False, StrictnessWitness(i, int(k), int(l))
-    return True, None
+    # off-diagonal (a != b) when k = l.  Operator i is tested on the
+    # members that passed operators 0 to i - 1.
+    n, k, d, _ = frames.shape
+    diag = np.arange(d)
+    verdicts: list[tuple[bool, StrictnessWitness | None]] = [(True, None)] * n
+    pending = np.arange(n)
+    for i in range(k):
+        f = frames[pending, i]
+        fc = f.conj()
+        gap = np.abs(f[:, :, :, None] * fc[:, :, None, :]).max(axis=1)  # [k, l], a = b
+        same = np.abs(f[:, :, None, :] * fc[:, None, :, :])  # [a, b, k], k = l
+        same[:, diag, diag] = 0.0
+        gap[:, diag, diag] = same.max(axis=(1, 2))
+        hits = _first_hits(gap > STRUCTURAL_ZERO)
+        for member, hit in zip(pending.tolist(), hits):
+            if hit is not None:
+                verdicts[member] = (False, StrictnessWitness(i, *divmod(hit, d)))
+        pending = pending[[hit is None for hit in hits]]
+        if not pending.size:
+            break
+    return verdicts
 
 
-def _strict(frames: np.ndarray) -> tuple[bool, StrictnessWitness | None]:
-    ok_units, witness_units = _matrix_unit_strict(frames)
-    ok_sparse, witness_sparse = _sparsity_strict(frames)
-    if ok_units != ok_sparse:
-        raise ArithmeticError(
-            "strictness tests disagree (matrix-unit vs sparsity); "
-            "channel has entries at the structural-zero boundary"
-        )
-    return ok_units, witness_units if not ok_units else witness_sparse
+def strict_incoherent_stack(frames: np.ndarray) -> list[tuple[bool, StrictnessWitness | None]]:
+    """``is_strict_incoherent``'s verdict and witness for each member of a
+    (N, K, d, d) stack of Kraus operators in their basis frames; raises on
+    the first member whose two tests disagree."""
+    units = _matrix_unit_strict(frames)
+    for (ok_units, _), (ok_sparse, _) in zip(units, _sparsity_strict(frames)):
+        if ok_units != ok_sparse:
+            raise ArithmeticError(
+                "strictness tests disagree (matrix-unit vs sparsity); "
+                "channel has entries at the structural-zero boundary"
+            )
+    return units
 
 
 def is_strict_incoherent(
@@ -190,9 +270,10 @@ def is_strict_incoherent(
     Two equivalent tests run and must agree: the definitional commutation
     check on the full matrix-unit operator basis, and the shortcut that each
     Kraus operator has at most one non-zero entry per row and per column.
-    Disagreement means a tolerance-boundary pathology and raises.
+    Disagreement means a tolerance-boundary pathology and raises.  On
+    failure the witness is the matrix-unit test's.
     """
-    return _strict(_in_frame(channel, basis))
+    return strict_incoherent_stack(_in_frame(channel, basis)[None])[0]
 
 
 def usi_generators(basis: ProductBasis) -> list[KrausChannel]:
@@ -262,7 +343,7 @@ def extract_classical(channel: KrausChannel, basis: ProductBasis) -> StochasticM
     states.  Raises if the channel is not strict incoherent.
     """
     frames = _in_frame(channel, basis)
-    ok, witness = _strict(frames)
+    ok, witness = strict_incoherent_stack(frames[None])[0]
     if not ok:
         raise ValueError(f"channel is not strict incoherent (witness {witness})")
     g = (np.abs(frames) ** 2).sum(axis=0)
@@ -290,3 +371,44 @@ def sandwich_dephase(inner: KrausChannel, basis: ProductBasis) -> KrausChannel:
     i, rows, cols = np.nonzero(np.abs(frames) > PRUNE_NORM)
     coeffs = frames[i, rows, cols][:, None, None]
     return KrausChannel(coeffs * _basis_units(basis.matrix, rows, cols))
+
+
+def random_incoherent_kraus(d: int, gen: np.random.Generator) -> np.ndarray:
+    """Kraus operators of a random incoherent channel on d levels, as a
+    (K, d, d) stack with exact completeness; ``random_incoherent_channel``
+    wraps them.
+
+    Columns are partitioned into groups of one or two; each group feeds one
+    random row through a random amplitude vector, and the group's
+    completeness deficit is eigen-factored into further single-row members.
+    Two-column members have two entries in one row, so generic draws are
+    incoherent but not strict; all-singleton draws are strict.
+    """
+    order = gen.permutation(d)
+    groups = []
+    i = 0
+    while i < d:
+        size = 2 if (i + 1 < d and gen.random() < 0.6) else 1
+        groups.append([int(c) for c in order[i : i + size]])
+        i += size
+    members = []
+    for group in groups:
+        g = len(group)
+        w = gen.standard_normal(g) + 1j * gen.standard_normal(g)
+        w *= (0.2 + 0.75 * gen.random()) / np.linalg.norm(w)
+        f = np.zeros((d, d), dtype=complex)
+        f[int(gen.integers(d)), group] = w
+        members.append(f)
+        deficit = np.eye(g) - np.outer(w.conj(), w)
+        lam, vec = hermitian_eig(deficit)
+        for m in range(g):
+            if lam[m] > 1e-14:
+                comp = np.zeros((d, d), dtype=complex)
+                comp[int(gen.integers(d)), group] = np.sqrt(lam[m]) * vec[:, m].conj()
+                members.append(comp)
+    return np.stack(members)
+
+
+def random_incoherent_channel(d: int, gen: np.random.Generator) -> KrausChannel:
+    """Random incoherent channel on d levels (``random_incoherent_kraus``)."""
+    return KrausChannel(random_incoherent_kraus(d, gen))

@@ -43,15 +43,6 @@ def as_square_matrix(m: np.ndarray) -> np.ndarray:
     return a
 
 
-def matrices_equal(a: np.ndarray, b: np.ndarray, atol: float = ATOL_IDENTITY) -> bool:
-    """Entrywise equality with an explicit absolute tolerance."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        return False
-    return bool(np.max(np.abs(a - b)) <= atol)
-
-
 def is_hermitian(m: np.ndarray) -> bool:
     a = np.asarray(m)
     return bool(np.abs(a - a.conj().T).max() <= ATOL_IDENTITY)

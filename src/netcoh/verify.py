@@ -35,7 +35,6 @@ from .linalg import (
     PSD_FLOOR,
     DensityMatrix,
     density_stack,
-    hermitian_eig,
     hilbert_schmidt_stack,
     partial_trace,
     random_density_matrix,
@@ -77,8 +76,9 @@ _ENSEMBLES = {
 # before any instance runs.
 MAX_FAMILY_SIZE = 10**6
 
-# Most instances in one sweep chunk.  A thm4 chunk is one stack of states,
-# so this bounds its arrays (a few MB at 2x4) at any ensemble size.
+# Most instances in one sweep chunk.  A thm4 chunk is one stack of states
+# and a lemma1 chunk one stack of channels, so this bounds their arrays (a
+# few MB) at any ensemble size.
 MAX_CHUNK = 1000
 
 # Fixed ensemble parameters that ``--ensemble-size`` does not scale.
@@ -150,10 +150,10 @@ def _sweep(
 
     With one worker every family of up to ``MAX_CHUNK`` instances is one
     chunk; with more, every family is cut into about four chunks per worker
-    and a fork pool runs them.  thm4 computes each chunk as stacked arrays;
-    the other suites run its instances one by one.  Each instance draws
-    from its own substream, so the rows do not depend on the chunking or
-    the worker count.
+    and a fork pool runs them.  thm4 and lemma1 compute each chunk as
+    stacked arrays; the other suites run its instances one by one.  Each
+    instance draws from its own substream, so the rows do not depend on the
+    chunking or the worker count.
     """
     chunks = [
         (seed, family, lo, hi)
@@ -399,81 +399,93 @@ def suite_thm6(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
 # Strictness tests (lemma1)
 
 
-def _random_incoherent_channel(d: int, gen) -> iops.KrausChannel:
-    """Random incoherent Kraus set with exact completeness.
-
-    Columns are partitioned into groups of one or two; each group feeds one
-    random row through a random amplitude vector, and the group's
-    completeness deficit is eigen-factored into further single-row members.
-    Two-column members have two entries in one row, so generic draws are
-    incoherent but not strict; all-singleton draws are strict.
-    """
-    order = gen.permutation(d)
-    groups = []
-    i = 0
-    while i < d:
-        size = 2 if (i + 1 < d and gen.random() < 0.6) else 1
-        groups.append([int(c) for c in order[i : i + size]])
-        i += size
-    members = []
-    for group in groups:
-        g = len(group)
-        w = gen.standard_normal(g) + 1j * gen.standard_normal(g)
-        w *= (0.2 + 0.75 * gen.random()) / np.linalg.norm(w)
-        f = np.zeros((d, d), dtype=complex)
-        f[int(gen.integers(d)), group] = w
-        members.append(f)
-        deficit = np.eye(g) - np.outer(w.conj(), w)
-        lam, vec = hermitian_eig(deficit)
-        for m in range(g):
-            if lam[m] > 1e-14:
-                comp = np.zeros((d, d), dtype=complex)
-                comp[int(gen.integers(d)), group] = np.sqrt(lam[m]) * vec[:, m].conj()
-                members.append(comp)
-    return iops.KrausChannel(members)
+_LEMMA1_FAMILIES = ("projected", "unitary", "permutation", "dephasing")
+_LEMMA1_DIMS = (2, 2)
+_LEMMA1_DIM = math.prod(_LEMMA1_DIMS)
 
 
-def _permutation_channel(d: int, gen, basis: ProductBasis) -> iops.KrausChannel:
-    perm = gen.permutation(d)
-    p = np.zeros((d, d), dtype=complex)
-    p[perm, np.arange(d)] = 1.0
-    b = basis.matrix
-    return iops.KrausChannel.unitary(b @ p @ b.conj().T)
-
-
-def _lemma1_row(seed: int, _family: str, i: int) -> dict:
-    gen = substream(seed, _LANE_LEMMA1, i)
-    dims = (2, 2)
-    d = 4
+def _lemma1_draws(
+    gen: np.random.Generator, family: int
+) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
+    """One lemma1 instance's random draws, (local-basis draws, family draw),
+    taken in the order of the one-channel generators: the ``rotated`` flag,
+    then a rotated instance's two 2x2 Ginibre matrices (None for the
+    computational basis), then its family's: an incoherent Kraus set
+    (family 0), a 4x4 Ginibre matrix (1), a permutation (2) or nothing (3)."""
     rotated = bool(gen.integers(2))
-    basis = random_product_basis(dims, gen) if rotated else ProductBasis.computational(dims)
-    family = i % 4
+    local = [ginibre(d, gen) for d in _LEMMA1_DIMS] if rotated else None
     if family == 0:
-        channel = _random_incoherent_channel(d, gen)
-        if rotated:
-            b = basis.matrix
-            channel = iops.KrausChannel(b @ channel.kraus @ b.conj().T)
-    elif family == 1:
-        channel = iops.KrausChannel.unitary(haar_unitary(d, gen))
-    elif family == 2:
-        channel = _permutation_channel(d, gen, basis)
-    else:
-        b = basis.matrix
-        channel = iops.KrausChannel([np.outer(b[:, k], b[:, k].conj()) for k in range(d)])
-    incoherent, _ = iops.is_incoherent(channel, basis)
-    strict, _ = iops.is_strict_incoherent(channel, basis)  # raises on test disagreement
-    return {
-        "index": i,
-        "family": ("projected", "unitary", "permutation", "dephasing")[family],
-        "incoherent": incoherent,
-        "strict": strict,
-    }
+        return local, iops.random_incoherent_kraus(_LEMMA1_DIM, gen)
+    if family == 1:
+        return local, ginibre(_LEMMA1_DIM, gen)
+    if family == 2:
+        return local, gen.permutation(_LEMMA1_DIM)
+    return local, None
+
+
+def _lemma1_kraus(family: int, draws: list, bases: np.ndarray, rotated: np.ndarray) -> np.ndarray:
+    """The (n, K, d, d) Kraus stack of n instances of one lemma1 family from
+    their family draws and global bases: a random incoherent channel (in
+    the basis frame if the instance is rotated), a Haar unitary, the
+    permutation unitary B P B^dag, or the dephasing projectors B_k B_k^dag."""
+    if family == 0:
+        raw = iops.pad_kraus(draws)
+        iops.require_kraus_stack(raw)  # the generated channel, before rotation
+        b = bases[rotated][:, None]
+        raw[rotated] = b @ raw[rotated] @ b.conj().swapaxes(-2, -1)
+        return raw
+    if family == 1:
+        return haar_unitaries(np.stack(draws))[:, None]
+    if family == 2:
+        perms = np.zeros_like(bases)
+        perms[np.arange(len(draws))[:, None], np.stack(draws), np.arange(_LEMMA1_DIM)] = 1.0
+        return (bases @ perms @ bases.conj().swapaxes(-2, -1))[:, None]
+    columns = bases.swapaxes(-2, -1)  # [n, k, :] is basis vector k
+    return columns[:, :, :, None] * columns.conj()[:, :, None, :]
+
+
+def _lemma1_rows(seed: int, _family: str, start: int, stop: int) -> list[dict]:
+    """lemma1 rows for channels ``start`` to ``stop - 1``; channel i is of
+    family i % 4.
+
+    Each channel draws from its own substream (``_lemma1_draws``); all that
+    follows runs once on the chunk's stacks: the Haar local bases and their
+    unitarity checks, the global bases, each family's Kraus stack, one
+    completeness check on the zero-padded stack of every channel, its basis
+    frames and both strictness tests (which raise if they disagree).
+    """
+    index = range(start, stop)
+    draws = [_lemma1_draws(substream(seed, _LANE_LEMMA1, i), i % 4) for i in index]
+    rotated = np.array([local is not None for local, _ in draws])
+    factors = [np.tile(np.eye(d, dtype=complex), (len(draws), 1, 1)) for d in _LEMMA1_DIMS]
+    for u, column in zip(factors, zip(*(local for local, _ in draws if local is not None))):
+        u[rotated] = haar_unitaries(np.stack(column))
+    for u in factors:
+        require_unitary_stack(u)
+    bases = tensor_stack(*factors)
+    family = np.arange(start, stop) % 4
+    kraus: list = [None] * len(draws)
+    for f in range(4):
+        members = np.flatnonzero(family == f)
+        if members.size:
+            own = [draws[m][1] for m in members]
+            for m, ops in zip(members, _lemma1_kraus(f, own, bases[members], rotated[members])):
+                kraus[m] = ops
+    stack = iops.pad_kraus(kraus)
+    iops.require_kraus_stack(stack)
+    frames = iops.in_frame_stack(stack, bases)
+    incoherent = iops.incoherent_stack(frames)
+    strict = iops.strict_incoherent_stack(frames)  # raises on test disagreement
+    return [
+        {"index": i, "family": _LEMMA1_FAMILIES[i % 4], "incoherent": inc, "strict": st}
+        for i, (inc, _), (st, _) in zip(index, incoherent, strict)
+    ]
 
 
 def suite_lemma1(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
     """Agreement of the definitional and sparsity strictness tests across
     random channels, plus the canonical pass and fail cases."""
-    rows = _sweep(_each(_lemma1_row), seed, _families("lemma1", scale), workers)
+    rows = _sweep(_lemma1_rows, seed, _families("lemma1", scale), workers)
     failures = []
     for row in rows:
         if row["strict"] and not row["incoherent"]:

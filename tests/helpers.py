@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from netcoh.linalg import DensityMatrix, tensor
+from netcoh.linalg import ATOL_IDENTITY, DensityMatrix, tensor
 
 SQRT_HALF = np.sqrt(0.5)
 
@@ -15,6 +15,15 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 HADAMARD = np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]], dtype=complex)
+
+
+def matrices_equal(a: np.ndarray, b: np.ndarray, atol: float = ATOL_IDENTITY) -> bool:
+    """Entrywise equality with an explicit absolute tolerance."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        return False
+    return bool(np.max(np.abs(a - b)) <= atol)
 
 
 def pure(vec, dims) -> DensityMatrix:

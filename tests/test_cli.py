@@ -464,6 +464,21 @@ class TestVerifyCommand:
         assert reports[0] == reports[1] == reports[2]
         assert hashlib.sha256(reports[0]).hexdigest() == GOLDEN_VERIFY_SHA256["thm4", "0.04"]
 
+    def test_lemma1_chunking_does_not_change_results(self, monkeypatch):
+        # lemma1 stacks a whole chunk of channels into one computation;
+        # chunks of 1, of 7 and of a whole family, and two workers, give the
+        # same rows.
+        families = _families("lemma1", 0.04)
+        runs = []
+        for limit, workers in ((1, 1), (7, 1), (verify.MAX_CHUNK, 1), (verify.MAX_CHUNK, 2)):
+            monkeypatch.setattr(verify, "MAX_CHUNK", limit)
+            runs.append(canonical_dumps(verify._sweep(verify._lemma1_rows, 7, families, workers)))
+        assert runs[1:] == runs[:1] * 3
+        assert json.loads(runs[0])[:2] == [
+            {"family": "projected", "incoherent": True, "index": 0, "strict": False},
+            {"family": "unitary", "incoherent": False, "index": 1, "strict": False},
+        ]
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_chunk_plan_is_bounded(self, workers):
         # The plan alone: no instance runs, so 10**6 instances cost nothing.
@@ -635,6 +650,7 @@ GOLDEN_TRANSCRIPT_TASK2_SHA256 = "dcd4ea21173e8dd683a1f7b17e1bee9567035a34b48c26
 # SHA-256 of the ``--format json --out`` report of each verify sweep at seed 7.
 GOLDEN_VERIFY_SHA256 = {
     ("lemma1", "0.1"): "4fb553bf15173e4af3ef2012e0b094909f6436d3b34aadbeded5580862b791ad",
+    ("lemma1", "1"): "993ad715ac4737431da27afdce201714b6368254f9151087612a5b18d403a4d1",
     ("isomorphism", "0.2"): "1579ae4c1d7e6c54b25deb22d45d0e1cd370572e685bbea8bc677b133762d9f2",
     ("thm6", "0.05"): "90eff1c76851d8fc60726f0e160f94789d7dd0b15f590b012e1b92a3c85dbd60",
     ("thm4", "0.04"): "cb79e033c622a0595bda3fe29cf3a551b25791f7e77d6ca145d45c54580c1490",

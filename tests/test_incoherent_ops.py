@@ -17,10 +17,16 @@ from netcoh.incoherent_ops import (
     compose_channels,
     embed_classical,
     extract_classical,
+    in_frame_stack,
+    incoherent_stack,
     is_incoherent,
     is_strict_incoherent,
+    pad_kraus,
     StrictnessWitness,
+    random_incoherent_channel,
+    require_kraus_stack,
     sandwich_dephase,
+    strict_incoherent_stack,
     usi_generators,
 )
 from netcoh.linalg import (
@@ -30,7 +36,6 @@ from netcoh.linalg import (
     random_density_matrix,
 )
 from netcoh.rng import haar_unitary, substream
-from netcoh.verify import _random_incoherent_channel
 
 Z1 = ProductBasis.computational((2,))
 Z2 = ProductBasis.computational((2, 2))
@@ -438,7 +443,7 @@ def test_array_checks_match_loop_oracle(d, family, rotated, seed, nudges):
         kraus = list(embed_classical(_stochastic(d, gen), basis).kraus)
     else:
         if family == "incoherent":
-            frames = list(_random_incoherent_channel(d, gen).kraus)
+            frames = list(random_incoherent_channel(d, gen).kraus)
         elif family == "strict":
             frames = _strict_frames(d, gen)
         else:
@@ -456,8 +461,8 @@ def test_array_checks_match_loop_oracle(d, family, rotated, seed, nudges):
     assert is_incoherent(channel, basis) == _loop_is_incoherent(loop_frames)
     units = _loop_matrix_unit_strict(loop_frames)
     sparse = _loop_sparsity_strict(loop_frames)
-    assert incoherent_ops._matrix_unit_strict(frames) == units
-    assert incoherent_ops._sparsity_strict(frames) == sparse
+    assert incoherent_ops._matrix_unit_strict(frames[None]) == [units]
+    assert incoherent_ops._sparsity_strict(frames[None]) == [sparse]
     if units[0] == sparse[0]:
         assert is_strict_incoherent(channel, basis) == (units if not units[0] else sparse)
     else:
@@ -517,3 +522,92 @@ def test_stacked_arithmetic_matches_loop_oracle(d, k_outer, k_inner, seed):
     KrausChannel([lo * f for f in outer_ops])
     with pytest.raises(ValueError, match="completeness"):
         KrausChannel([hi * f for f in outer_ops])
+
+
+# ---------------------------------------------------------------------------
+# Stacked checks: a zero-padded (N, K, d, d) stack of channels against each
+# channel checked alone.
+
+
+def _spoil(ops, fault):
+    ops = ops.copy()
+    if fault == "nan":
+        ops[-1, 0, 1] = np.nan
+    elif fault == "inf":
+        ops[0, 2, 2] = np.inf
+    else:
+        ops *= 1.0 + 1e-9  # completeness off by about 2e-9
+    return ops
+
+
+MESSAGES = {
+    "nan": "non-finite entry F[",
+    "inf": "non-finite entry F[",
+    "completeness": "completeness violated",
+    "shape": "expected a (K, d, d) Kraus stack",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MESSAGES))
+def test_kraus_stack_fails_closed_per_member(fault):
+    gen = substream(27, 0)
+    sets = [random_incoherent_channel(3, gen).kraus for _ in range(6)]
+    assert len({len(ops) for ops in sets}) > 1
+    valid = pad_kraus(sets)
+    require_kraus_stack(valid)
+    if fault == "shape":
+        stack = np.concatenate([valid, np.zeros(valid.shape[:3] + (1,))], axis=3)  # d x (d + 1)
+        first_bad = stack[0]
+    else:
+        # Member 2 is the first bad one; member 4 fails another way.
+        sets[2] = _spoil(sets[2], fault)
+        sets[4] = _spoil(sets[4], "completeness" if fault != "completeness" else "nan")
+        stack = pad_kraus(sets)
+        first_bad = sets[2]
+    with pytest.raises(ValueError) as alone:
+        KrausChannel(first_bad)
+    with pytest.raises(ValueError) as stacked:
+        require_kraus_stack(stack)
+    assert type(stacked.value) is type(alone.value)
+    assert str(stacked.value) == str(alone.value)
+    assert MESSAGES[fault] in str(alone.value)
+
+
+def test_strictness_stack_matches_one_channel():
+    gen = substream(28, 0)
+    channels, bases = [], []
+    for i in range(28):
+        basis = random_product_basis((2, 2), gen) if i % 3 else Z2
+        b = basis.matrix
+        kind = i % 7
+        if kind == 0:
+            frames = list(random_incoherent_channel(4, gen).kraus)
+        elif kind == 1:
+            frames = _strict_frames(4, gen)
+        elif kind == 2:
+            frames = [haar_unitary(4, gen)]
+        elif kind == 3:
+            # Strict first operator, so the matrix-unit test fails at the second.
+            frames = [SQRT_HALF * np.eye(4)[gen.permutation(4)], SQRT_HALF * haar_unitary(4, gen)]
+        if kind < 4:
+            channel = KrausChannel([b @ f @ b.conj().T for f in frames])
+        elif kind == 4:
+            channel = embed_classical(_stochastic(4, gen), basis)
+        elif kind == 5:
+            channel = dephasing_channel(basis)
+        else:
+            channel = random_incoherent_channel(4, gen)  # in the wrong frame unless basis is Z2
+        channels.append(channel)
+        bases.append(basis)
+    stack = pad_kraus([c.kraus for c in channels])
+    frames = in_frame_stack(stack, np.stack([b.matrix for b in bases]))
+    for member, channel, basis in zip(frames, channels, bases):
+        alone = incoherent_ops._in_frame(channel, basis)
+        assert np.array_equal(member[: len(alone)], alone) and not member[len(alone) :].any()
+
+    incoherent = incoherent_stack(frames)
+    strict = strict_incoherent_stack(frames)
+    assert incoherent == [is_incoherent(c, b) for c, b in zip(channels, bases)]
+    assert strict == [is_strict_incoherent(c, b) for c, b in zip(channels, bases)]
+    assert {ok for ok, _ in strict} == {True, False}
+    assert any(w is not None and w.kraus_index > 0 for _, w in strict)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import SX, SY, SZ, bell_state, werner
+from helpers import SX, SY, SZ, bell_state, matrices_equal, werner
 from netcoh.linalg import (
     MAX_GATE_QUBITS,
     DensityMatrix,
@@ -16,7 +16,6 @@ from netcoh.linalg import (
     gate_network_from_json,
     gate_network_to_json,
     hermitian_eig,
-    matrices_equal,
     matrix_from_json,
     matrix_to_json,
     maximally_mixed,

@@ -241,8 +241,8 @@ def cmd_verify(args) -> int:
         print(result.summary)
         for failure in result.failures[:20]:
             print(f"  {failure}")
-    # Built only with --out: canonical JSON rejects the NaN a failed thm5
-    # cross-check leaves in its row, and that must still exit 1.
+    # Built only with --out.  A failed route cross-check leaves None (null) in
+    # its row, not the NaN canonical JSON rejects, so a failed suite writes too.
     if args.out:
         reports = {}
         for result in results:

@@ -32,7 +32,7 @@ from .linalg import (
     tensor_stack,
     unitarity_errors,
 )
-from .rng import DEFAULT_SEED, haar_unitary, substream
+from .rng import DEFAULT_SEED, ginibre, haar_unitaries, haar_unitary, substream
 
 A_TO_B = "a_to_b"
 B_TO_A = "b_to_a"
@@ -102,8 +102,21 @@ def require_unitary_stack(stack: np.ndarray) -> None:
         raise ValueError("local basis matrix is not unitary within 1e-9")
 
 
+def random_product_bases(gens: Sequence[np.random.Generator], dims: Sequence[int]) -> list:
+    """Haar-random product bases, one per generator, each drawing one Ginibre
+    matrix per subsystem in subsystem order: one (N, d_k, d_k) stack of
+    unitaries per subsystem, checked by ``require_unitary_stack``."""
+    draws = [[ginibre(int(d), gen) for d in dims] for gen in gens]
+    stacks = [np.array([draw[k] for draw in draws], complex) for k in range(len(dims))]
+    stacks = [haar_unitaries(z.reshape(-1, d, d)) for z, d in zip(stacks, dims)]
+    for u in stacks:
+        require_unitary_stack(u)
+    return stacks
+
+
 def random_product_basis(dims: Sequence[int], gen: np.random.Generator) -> ProductBasis:
-    return ProductBasis(tuple(haar_unitary(int(d), gen) for d in dims), tuple(dims))
+    """One Haar-random product basis: ``random_product_bases`` for N = 1."""
+    return ProductBasis(tuple(u[0] for u in random_product_bases([gen], dims)), tuple(dims))
 
 
 def _check_basis(rho: DensityMatrix, basis: ProductBasis) -> None:
@@ -270,6 +283,22 @@ def mutual_information(rho: DensityMatrix, cut: Cut = BIPARTITE_CUT) -> float:
     """I(A:B) = S(A) + S(B) - S(AB) across the cut, in bits."""
     groups = normalize_cut(rho.dims, cut)
     return float(mutual_information_stack(rho.matrix[None], rho.dims, groups)[0])
+
+
+def dephased_mutual_information_stack(
+    states: np.ndarray, local_bases: Sequence[np.ndarray], dims: Sequence[int], cut: Cut
+) -> np.ndarray:
+    """Mutual information of each state of a (N, d, d) stack, or of one
+    (1, d, d) state in every basis, fully dephased in its product basis of
+    (N, d_k, d_k) stacks ``local_bases``: H(p_A) + H(p_B) - H(p) of its
+    outcome distribution p, with no decomposition of the dephased matrix."""
+    group_a, group_b = normalize_cut(dims, cut)
+    probs = np.clip(_basis_probabilities(states, tensor_stack(*local_bases)), 0.0, None)
+    grid = probs.reshape(-1, *dims)
+    p_a = grid.sum(axis=tuple(k + 1 for k in group_b)).reshape(len(probs), -1)
+    p_b = grid.sum(axis=tuple(k + 1 for k in group_a)).reshape(len(probs), -1)
+    h = entropies_of_probabilities
+    return h(p_a) + h(p_b) - h(probs)
 
 
 # ---------------------------------------------------------------------------

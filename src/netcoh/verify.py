@@ -22,12 +22,12 @@ from .classify import DISCORD_ZERO_THRESHOLD, NET_COHERENCE_WITNESS_THRESHOLD
 from .coherence import (
     BIPARTITE_CUT,
     ProductBasis,
+    dephased_mutual_information_stack,
     minimize_discord_pair,
     mutual_information,
-    net_global_coherence,
     net_global_coherence_stack,
+    random_product_bases,
     random_product_basis,
-    require_unitary_stack,
 )
 from .linalg import (
     ATOL_IDENTITY,
@@ -151,9 +151,11 @@ def _sweep(
     With one worker every family of up to ``MAX_CHUNK`` instances is one
     chunk; with more, every family is cut into about four chunks per worker
     and a fork pool runs them.  thm4 and lemma1 compute each chunk as
-    stacked arrays; the other suites run its instances one by one.  Each
-    instance draws from its own substream, so the rows do not depend on the
-    chunking or the worker count.
+    stacked arrays; the other suites run its instances one by one, and thm5
+    and thm6 score each state's 20 or 50 bases as one stack.  Every product
+    basis of the five sweeps is drawn by ``coherence.random_product_bases``.
+    Each instance draws from its own substream, so the rows do not depend on
+    the chunking or the worker count.
     """
     chunks = [
         (seed, family, lo, hi)
@@ -168,16 +170,13 @@ def _sweep(
     return [row for part in parts for row in part]
 
 
-def dephased_mutual_info(rho: DensityMatrix, basis: ProductBasis, cut=BIPARTITE_CUT) -> float:
-    """Mutual information of the fully dephased state via its outcome
-    distribution; cheaper than building the dephased matrix for sweeps."""
-    probs = np.clip(coh._basis_probabilities(rho.matrix, basis.matrix), 0.0, None)
-    grid = probs.reshape(rho.dims)
-    group_a, group_b = coh.normalize_cut(rho.dims, cut)
-    p_a = grid.sum(axis=tuple(group_b)).reshape(-1)
-    p_b = grid.sum(axis=tuple(group_a)).reshape(-1)
-    h = coh.entropy_of_probabilities
-    return h(p_a) + h(p_b) - h(probs)
+def _nets_in_random_bases(rho: DensityMatrix, seed: int, lane: int, i: int, count: int) -> tuple:
+    """Net coherence of state ``i`` in ``count`` Haar product bases, basis b
+    from substream (seed, lane, 2, i, b), as I(rho) minus each dephased
+    state's mutual information; and the bases' local stacks."""
+    bases = random_product_bases([substream(seed, lane, 2, i, b) for b in range(count)], rho.dims)
+    dephased = dephased_mutual_information_stack(rho.matrix[None], bases, rho.dims, BIPARTITE_CUT)
+    return mutual_information(rho, BIPARTITE_CUT) - dephased, bases
 
 
 # ---------------------------------------------------------------------------
@@ -191,55 +190,32 @@ def _cc_stack(frame: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (frame * p[:, None, :]) @ frame.conj().swapaxes(-2, -1)
 
 
-def _random_cc_diagonal(dims, gen) -> tuple[DensityMatrix, ProductBasis]:
-    basis = random_product_basis(dims, gen)
-    p = gen.random(int(np.prod(dims)))
-    return DensityMatrix(_cc_stack(basis.matrix[None], p[None])[0], tuple(dims)), basis
-
-
 _THM4_LANES = {"2x2": 0, "2x4": 1, "product": 2, "cc": 3}
 _THM4_DIMS = {"2x2": (2, 2), "2x4": (2, 4), "product": (2, 2), "cc": (2, 2)}
-
-
-def _thm4_draws(
-    gen: np.random.Generator, kind: str, dims: tuple[int, int]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """One thm4 instance's random draws, (state draws, basis draws), taken
-    in the order of the one-state generators: a Hilbert-Schmidt state's
-    Ginibre matrix (for "product", one per factor) and then the basis's, or
-    for "cc" the basis's and then the eigenvalue weights."""
-    if kind == "cc":
-        bases = [ginibre(d, gen) for d in dims]
-        return [gen.random(math.prod(dims))], bases
-    if kind == "product":
-        states = [ginibre(d, gen) for d in dims]
-    else:
-        states = [ginibre(math.prod(dims), gen)]
-    return states, [ginibre(d, gen) for d in dims]
 
 
 def _thm4_rows(seed: int, kind: str, start: int, stop: int) -> list[dict]:
     """thm4 rows for instances ``start`` to ``stop - 1`` of one family.
 
-    Each instance draws from its own substream (``_thm4_draws``); all that
-    follows runs once on the chunk's stacks: the Haar bases and their
-    unitarity checks, the states and their ``DensityMatrix`` checks, and
+    Each instance draws from its own substream, in the order of the
+    one-state generators: a Hilbert-Schmidt state's Ginibre matrix (for
+    "product", one per factor) and then its basis, or for "cc" its basis
+    and then the eigenvalue weights.  All that follows runs once on the
+    chunk's stacks: the states and their ``DensityMatrix`` checks, and
     ``net_global_coherence_stack``.  The rows hold its figures, so the
     suite, not an exception, reports a floor or route violation.
     """
     dims = _THM4_DIMS[kind]
-    lane = _THM4_LANES[kind]
-    draws = [
-        _thm4_draws(substream(seed, _LANE_THM4, lane, i), kind, dims) for i in range(start, stop)
-    ]
-    state_draws = [np.stack(column) for column in zip(*(states for states, _ in draws))]
-    bases = [haar_unitaries(np.stack(column)) for column in zip(*(b for _, b in draws))]
-    for u in bases:
-        require_unitary_stack(u)
+    gens = [substream(seed, _LANE_THM4, _THM4_LANES[kind], i) for i in range(start, stop)]
     if kind == "cc":
-        states = density_stack(_cc_stack(tensor_stack(*bases), state_draws[0]))
+        bases = random_product_bases(gens, dims)
+        weights = np.stack([gen.random(math.prod(dims)) for gen in gens])
+        states = density_stack(_cc_stack(tensor_stack(*bases), weights))
     else:
-        factors = [density_stack(hilbert_schmidt_stack(g)) for g in state_draws]
+        shapes = dims if kind == "product" else (math.prod(dims),)
+        draws = [[ginibre(d, gen) for d in shapes] for gen in gens]
+        bases = random_product_bases(gens, dims)
+        factors = [density_stack(hilbert_schmidt_stack(np.stack(g))) for g in zip(*draws)]
         states = density_stack(tensor_stack(*factors)) if kind == "product" else factors[0]
     figures = net_global_coherence_stack(states, bases, dims, BIPARTITE_CUT)
     route_gaps = np.abs(figures.rec_net - (figures.mutual_info - figures.mutual_info_dephased))
@@ -257,14 +233,13 @@ def suite_thm4(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
     rows = _sweep(_thm4_rows, seed, _families("thm4", scale), workers)
     failures = []
     for row in rows:
-        if row["rec_net"] < PSD_FLOOR:
-            failures.append(f"{row['kind']}[{row['index']}]: rec_net {row['rec_net']:.3e} < -1e-9")
+        name, net = f"{row['kind']}[{row['index']}]", row["rec_net"]
+        if net < PSD_FLOOR:
+            failures.append(f"{name}: rec_net {net:.3e} < -1e-9")
         if row["route_gap"] > ATOL_SPECTRAL:
-            failures.append(f"{row['kind']}[{row['index']}]: route gap {row['route_gap']:.3e}")
-        if row["kind"] in ("product", "cc") and row["rec_net"] > ATOL_SPECTRAL:
-            failures.append(
-                f"{row['kind']}[{row['index']}]: equality case rec_net {row['rec_net']:.3e}"
-            )
+            failures.append(f"{name}: route gap {row['route_gap']:.3e}")
+        if row["kind"] in ("product", "cc") and net > ATOL_SPECTRAL:
+            failures.append(f"{name}: equality case rec_net {net:.3e}")
     return SuiteResult("thm4", not failures, rows, failures)
 
 
@@ -281,48 +256,44 @@ def _thm5_row(seed: int, kind: str, i: int) -> dict:
         vb = random_pure_density((2,), gen)
         rho = DensityMatrix(tensor(va.matrix, vb.matrix), (2, 2))
     entanglement_entropy = coh.von_neumann_entropy(partial_trace(rho, (0,)))
-    mi = mutual_information(rho, BIPARTITE_CUT)
-    nets = []
-    for b_idx in range(_THM5_BASES):
-        basis = random_product_basis((2, 2), substream(seed, _LANE_THM5, 2, i, b_idx))
-        net = mi - dephased_mutual_info(rho, basis)
-        if b_idx == 0:
-            # Cross-validate the sweep shortcut against the full report.
-            full = net_global_coherence(rho, basis, BIPARTITE_CUT).rec_net
-            if abs(full - net) > ATOL_SPECTRAL:
-                net = math.nan
-        nets.append(net)
+    nets, bases = _nets_in_random_bases(rho, seed, _LANE_THM5, i, _THM5_BASES)
+    # Basis 0 checks the shortcut against both routes of the full figures;
+    # a failed check leaves None for the extremes.
+    full = net_global_coherence_stack(rho.matrix[None], [u[:1] for u in bases], rho.dims)
+    routes = np.array([nets[0], full.mutual_info[0] - full.mutual_info_dephased[0]])
+    checked = bool(np.all(np.abs(full.rec_net[0] - routes) <= ATOL_SPECTRAL))
     return {
         "kind": kind,
         "index": i,
         "entanglement_entropy": entanglement_entropy,
-        "rec_net_min": min(nets),
-        "rec_net_max": max(nets),
+        "rec_net_min": float(nets.min()) if checked else None,
+        "rec_net_max": float(nets.max()) if checked else None,
     }
 
 
 def suite_thm5(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
     """Pure-state law: entangled iff positive net coherence, product implies
-    zero, checked in 20 sampled product bases per state."""
+    zero, checked in 20 sampled product bases per state.  A state whose
+    routes disagree in basis 0, or whose net coherence is below the
+    positivity floor, is a failure of its row."""
     rows = _sweep(_each(_thm5_row), seed, _families("thm5", scale), workers)
     failures = []
     for row in rows:
-        if math.isnan(row["rec_net_min"]):
-            failures.append(f"{row['kind']}[{row['index']}]: route cross-check failed")
+        name, net_min = f"{row['kind']}[{row['index']}]", row["rec_net_min"]
+        if net_min is None:
+            failures.append(f"{name}: route cross-check failed")
             continue
+        if net_min < PSD_FLOOR:
+            failures.append(f"{name}: rec_net {net_min:.3e} < -1e-9")
         if row["kind"] == "product":
             if row["rec_net_max"] > ATOL_SPECTRAL:
-                failures.append(
-                    f"product[{row['index']}]: rec_net {row['rec_net_max']:.3e} > 1e-9"
-                )
+                failures.append(f"{name}: rec_net {row['rec_net_max']:.3e} > 1e-9")
         else:
             # A pure state's entanglement entropy is its discord.
             entangled = row["entanglement_entropy"] > DISCORD_ZERO_THRESHOLD
-            coherent = row["rec_net_min"] > NET_COHERENCE_WITNESS_THRESHOLD
-            if entangled != coherent:
+            if entangled != (net_min > NET_COHERENCE_WITNESS_THRESHOLD):
                 failures.append(
-                    f"haar[{row['index']}]: EE {row['entanglement_entropy']:.3e} vs "
-                    f"min rec_net {row['rec_net_min']:.3e}"
+                    f"{name}: EE {row['entanglement_entropy']:.3e} vs min rec_net {net_min:.3e}"
                 )
     return SuiteResult("thm5", not failures, rows, failures)
 
@@ -333,21 +304,23 @@ def suite_thm5(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
 
 def _thm6_row(seed: int, kind: str, i: int) -> dict:
     if kind == "cc":
-        rho, _ = _random_cc_diagonal((2, 2), substream(seed, _LANE_THM6, 0, i))
+        gen = substream(seed, _LANE_THM6, 0, i)
+        frame = tensor_stack(*random_product_bases([gen], (2, 2)))
+        rho = DensityMatrix(_cc_stack(frame, gen.random(4)[None])[0], (2, 2))
         (val_ab, basis_ab), (val_ba, basis_ba) = minimize_discord_pair(rho)
-        candidates = [
-            basis_ab,
-            basis_ba,
-            ProductBasis((basis_ab.local_bases[0], basis_ba.local_bases[1]), rho.dims),
-        ]
+        # The candidates: both minimizers' bases, and A -> B's side A with
+        # B -> A's side B.  Routes that disagree leave None as the witness.
+        (a_ab, b_ab), (a_ba, b_ba) = basis_ab.local_bases, basis_ba.local_bases
+        local = [np.stack([a_ab, a_ba, a_ab]), np.stack([b_ab, b_ba, b_ba])]
+        figures = net_global_coherence_stack(np.repeat(rho.matrix[None], 3, 0), local, rho.dims)
+        gaps = np.abs(figures.rec_net - (figures.mutual_info - figures.mutual_info_dephased))
+        witness = float(figures.rec_net.min()) if np.all(gaps <= ATOL_SPECTRAL) else None
         return {
             "kind": "cc",
             "index": i,
             "discord_ab": val_ab,
             "discord_ba": val_ba,
-            "rec_net_witness": min(
-                net_global_coherence(rho, cand, BIPARTITE_CUT).rec_net for cand in candidates
-            ),
+            "rec_net_witness": witness,
         }
     attempt = 0
     while True:
@@ -359,39 +332,38 @@ def _thm6_row(seed: int, kind: str, i: int) -> dict:
         attempt += 1
         if attempt > 50:
             raise RuntimeError("rejection sampling failed to find a discordant state")
-    mi = mutual_information(rho, BIPARTITE_CUT)
-    net_min = math.inf
-    for b_idx in range(_THM6_BASES):
-        basis = random_product_basis((2, 2), substream(seed, _LANE_THM6, 2, i, b_idx))
-        net_min = min(net_min, mi - dephased_mutual_info(rho, basis))
+    nets, _ = _nets_in_random_bases(rho, seed, _LANE_THM6, i, _THM6_BASES)
     return {
         "kind": "discordant",
         "index": i,
         "discord_ab": val_ab,
         "discord_ba": val_ba,
-        "rec_net_min": net_min,
+        "rec_net_min": float(nets.min()),
     }
 
 
 def suite_thm6(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
     """Rotated CC states: the discord minimizer recovers a basis with
     vanishing net coherence.  Discordant states: positive net coherence in
-    each of 50 sampled product bases."""
+    each of 50 sampled product bases.  A CC state whose candidate bases'
+    routes disagree, or whose witness is below the positivity floor, is a
+    failure of its row."""
     rows = _sweep(_each(_thm6_row), seed, _families("thm6", scale), workers)
     failures = []
     for row in rows:
+        name = f"{row['kind']}[{row['index']}]"
         if row["kind"] == "cc":
+            witness = row["rec_net_witness"]
             if max(row["discord_ab"], row["discord_ba"]) > DISCORD_ZERO_THRESHOLD:
-                failures.append(f"cc[{row['index']}]: discord floor not reached")
-            if row["rec_net_witness"] > NET_COHERENCE_WITNESS_THRESHOLD:
-                failures.append(
-                    f"cc[{row['index']}]: witness rec_net {row['rec_net_witness']:.3e} > 1e-6"
-                )
-        else:
-            if row["rec_net_min"] <= NET_COHERENCE_WITNESS_THRESHOLD:
-                failures.append(
-                    f"discordant[{row['index']}]: rec_net {row['rec_net_min']:.3e} <= 1e-6"
-                )
+                failures.append(f"{name}: discord floor not reached")
+            if witness is None:
+                failures.append(f"{name}: route cross-check failed")
+            elif witness < PSD_FLOOR:
+                failures.append(f"{name}: witness rec_net {witness:.3e} < -1e-9")
+            elif witness > NET_COHERENCE_WITNESS_THRESHOLD:
+                failures.append(f"{name}: witness rec_net {witness:.3e} > 1e-6")
+        elif row["rec_net_min"] <= NET_COHERENCE_WITNESS_THRESHOLD:
+            failures.append(f"{name}: rec_net {row['rec_net_min']:.3e} <= 1e-6")
     return SuiteResult("thm6", not failures, rows, failures)
 
 
@@ -404,23 +376,17 @@ _LEMMA1_DIMS = (2, 2)
 _LEMMA1_DIM = math.prod(_LEMMA1_DIMS)
 
 
-def _lemma1_draws(
-    gen: np.random.Generator, family: int
-) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
-    """One lemma1 instance's random draws, (local-basis draws, family draw),
-    taken in the order of the one-channel generators: the ``rotated`` flag,
-    then a rotated instance's two 2x2 Ginibre matrices (None for the
-    computational basis), then its family's: an incoherent Kraus set
-    (family 0), a 4x4 Ginibre matrix (1), a permutation (2) or nothing (3)."""
-    rotated = bool(gen.integers(2))
-    local = [ginibre(d, gen) for d in _LEMMA1_DIMS] if rotated else None
+def _lemma1_draw(gen: np.random.Generator, family: int) -> np.ndarray | None:
+    """One lemma1 instance's family draw, taken after its basis draws: an
+    incoherent Kraus set (family 0), a 4x4 Ginibre matrix (1), a
+    permutation (2) or nothing (3)."""
     if family == 0:
-        return local, iops.random_incoherent_kraus(_LEMMA1_DIM, gen)
+        return iops.random_incoherent_kraus(_LEMMA1_DIM, gen)
     if family == 1:
-        return local, ginibre(_LEMMA1_DIM, gen)
+        return ginibre(_LEMMA1_DIM, gen)
     if family == 2:
-        return local, gen.permutation(_LEMMA1_DIM)
-    return local, None
+        return gen.permutation(_LEMMA1_DIM)
+    return None
 
 
 def _lemma1_kraus(family: int, draws: list, bases: np.ndarray, rotated: np.ndarray) -> np.ndarray:
@@ -448,27 +414,29 @@ def _lemma1_rows(seed: int, _family: str, start: int, stop: int) -> list[dict]:
     """lemma1 rows for channels ``start`` to ``stop - 1``; channel i is of
     family i % 4.
 
-    Each channel draws from its own substream (``_lemma1_draws``); all that
-    follows runs once on the chunk's stacks: the Haar local bases and their
-    unitarity checks, the global bases, each family's Kraus stack, one
-    completeness check on the zero-padded stack of every channel, its basis
-    frames and both strictness tests (which raise if they disagree).
+    Each channel draws from its own substream, in the order of the
+    one-channel generators: the ``rotated`` flag, then a rotated channel's
+    Haar local bases (the computational basis otherwise), then its family
+    draw (``_lemma1_draw``).  All that follows runs once on the chunk's
+    stacks: the global bases, each family's Kraus stack, one completeness
+    check on the zero-padded stack of every channel, its basis frames and
+    both strictness tests (which raise if they disagree).
     """
     index = range(start, stop)
-    draws = [_lemma1_draws(substream(seed, _LANE_LEMMA1, i), i % 4) for i in index]
-    rotated = np.array([local is not None for local, _ in draws])
-    factors = [np.tile(np.eye(d, dtype=complex), (len(draws), 1, 1)) for d in _LEMMA1_DIMS]
-    for u, column in zip(factors, zip(*(local for local, _ in draws if local is not None))):
-        u[rotated] = haar_unitaries(np.stack(column))
-    for u in factors:
-        require_unitary_stack(u)
-    bases = tensor_stack(*factors)
+    gens = [substream(seed, _LANE_LEMMA1, i) for i in index]
+    rotated = np.array([bool(gen.integers(2)) for gen in gens])
+    local = random_product_bases([g for g, r in zip(gens, rotated) if r], _LEMMA1_DIMS)
     family = np.arange(start, stop) % 4
+    draws = [_lemma1_draw(gen, f) for gen, f in zip(gens, family)]
+    factors = [np.tile(np.eye(d, dtype=complex), (len(gens), 1, 1)) for d in _LEMMA1_DIMS]
+    for u, drawn in zip(factors, local):
+        u[rotated] = drawn
+    bases = tensor_stack(*factors)
     kraus: list = [None] * len(draws)
     for f in range(4):
         members = np.flatnonzero(family == f)
         if members.size:
-            own = [draws[m][1] for m in members]
+            own = [draws[m] for m in members]
             for m, ops in zip(members, _lemma1_kraus(f, own, bases[members], rotated[members])):
                 kraus[m] = ops
     stack = iops.pad_kraus(kraus)
@@ -530,7 +498,7 @@ def _iso_row(seed: int, _family: str, i: int) -> dict:
     g = gen.random((d, d))
     g /= g.sum(axis=0, keepdims=True)
     stoch = iops.StochasticMatrix(g)
-    basis = ProductBasis((haar_unitary(d, gen),), (d,))
+    basis = random_product_basis((d,), gen)
     channel = iops.embed_classical(stoch, basis)
     strict, _ = iops.is_strict_incoherent(channel, basis)
     round_trip = iops.extract_classical(channel, basis)

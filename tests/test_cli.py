@@ -528,6 +528,92 @@ class TestVerifyCommand:
         failures = capsys.readouterr().out.splitlines()[1:]
         assert failures[0].startswith("  2x2[0]: rec_net -") and failures[0].endswith(" < -1e-9")
 
+    @pytest.mark.parametrize("suite, first", [("thm5", "haar[0]"), ("thm6", "cc[0]")])
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_route_violation_is_a_failure_row(
+        self, tmp_path, monkeypatch, capsys, suite, first, with_out
+    ):
+        # thm5's basis-0 cross-check and thm6's CC witness compare both
+        # routes themselves: a 2e-9 gap is a failure naming the instance
+        # (exit 1), and a written report holds null where the figure was.
+        import netcoh.coherence as coherence
+
+        original = coherence.mutual_information_stack
+        monkeypatch.setattr(
+            coherence, "mutual_information_stack", lambda *args: original(*args) + 2e-9
+        )
+        argv = ["verify", suite, "--ensemble-size", "0.01", "--seed", "7"]
+        if with_out:
+            argv += ["--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert f"  {first}: route cross-check failed" in capsys.readouterr().out.splitlines()
+        if with_out:
+            payload = json.loads((tmp_path / f"{suite}.json").read_text())
+            assert payload["passed"] is False
+            assert f"{first}: route cross-check failed" in payload["failures"]
+            figure = "rec_net_min" if suite == "thm5" else "rec_net_witness"
+            assert payload["rows"][0][figure] is None
+
+    def test_thm5_shortcut_mismatch_is_written_as_null(self, tmp_path, monkeypatch, capsys):
+        # Only the sweep shortcut moves: the full figures of basis 0 no
+        # longer match it, and the report still writes and exits 1.
+        original = verify.dephased_mutual_information_stack
+        monkeypatch.setattr(
+            verify, "dephased_mutual_information_stack", lambda *args: original(*args) + 2e-9
+        )
+        argv = ["verify", "thm5", "--ensemble-size", "0.01", "--seed", "7", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert "  haar[0]: route cross-check failed" in capsys.readouterr().out.splitlines()
+        row = json.loads((tmp_path / "thm5.json").read_text())["rows"][0]
+        assert row["rec_net_min"] is None and row["rec_net_max"] is None
+
+    def test_thm5_floor_violation_is_a_failure_row(self, monkeypatch, capsys):
+        original = verify._nets_in_random_bases
+
+        def below_floor(*args):
+            nets, bases = original(*args)
+            nets[1:] -= 1.0  # basis 0 still matches its full figures
+            return nets, bases
+
+        monkeypatch.setattr(verify, "_nets_in_random_bases", below_floor)
+        assert main(["verify", "thm5", "--ensemble-size", "0.01", "--seed", "7"]) == 1
+        failures = capsys.readouterr().out.splitlines()[1:]
+        assert failures[0].startswith("  haar[0]: rec_net -") and failures[0].endswith(" < -1e-9")
+
+    def test_thm6_witness_floor_violation_is_a_failure_row(self, monkeypatch, capsys):
+        original = verify.net_global_coherence_stack
+
+        def below_floor(*args):
+            figures = original(*args)
+            return figures._replace(
+                rec_net=figures.rec_net - 1.0,
+                mutual_info_dephased=figures.mutual_info_dephased + 1.0,
+            )
+
+        monkeypatch.setattr(verify, "net_global_coherence_stack", below_floor)
+        assert main(["verify", "thm6", "--ensemble-size", "0.01", "--seed", "7"]) == 1
+        failures = capsys.readouterr().out.splitlines()[1:]
+        assert failures[0].startswith("  cc[0]: witness rec_net -")
+        assert failures[0].endswith(" < -1e-9")
+
+    def test_sweeps_draw_bases_only_through_the_stacked_sampler(self, monkeypatch):
+        # Every product basis of these sweeps comes from
+        # coherence.random_product_bases, which calls no haar_unitary.
+        import netcoh.coherence as coherence
+        import netcoh.rng as rng
+
+        calls = []
+        for module in (rng, coherence, verify):
+            original = module.haar_unitary
+            monkeypatch.setattr(
+                module,
+                "haar_unitary",
+                lambda dim, gen, original=original: calls.append(dim) or original(dim, gen),
+            )
+        for suite in ("thm4", "thm5", "thm6", "lemma1", "isomorphism"):
+            assert run_suite(suite, 7, 0.01)[0].passed
+        assert calls == []
+
 
 def test_options_are_refused_where_unread(tmp_path, capsys, control_state_file):
     # Only classify reads --tolerance and only verify reads --format; the
@@ -655,6 +741,8 @@ GOLDEN_VERIFY_SHA256 = {
     ("thm6", "0.05"): "90eff1c76851d8fc60726f0e160f94789d7dd0b15f590b012e1b92a3c85dbd60",
     ("thm4", "0.04"): "cb79e033c622a0595bda3fe29cf3a551b25791f7e77d6ca145d45c54580c1490",
     ("thm5", "0.05"): "6bab39ad9a22d6b666ca50605e007a681656911bb2c520cf60fd8fd4f1b15a3e",
+    ("thm5", "0.25"): "c80fa45a9f02507f486de1a35949c40a635ccdb6c98e400c04ac3c30aad14077",
+    ("thm6", "0.25"): "4fa066b19274abb1b4c05291ad629889ac6bbb220135132c6adbad6f492f50bc",
 }
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,14 @@ from netcoh.coherence import (
     ProductBasis,
     basis_dependent_discord,
     dephase,
+    dephased_mutual_information_stack,
     entropy_of_probabilities,
     minimize_discord,
     mutual_information,
     net_global_coherence,
     net_global_coherence_stack,
     normalize_cut,
+    random_product_bases,
     random_product_basis,
     rec,
     require_unitary_stack,
@@ -263,6 +267,85 @@ class TestMutualInformation:
             rho = random_density_matrix((2, 4), substream(13, 1, i))
             value = mutual_information(rho)
             assert -1e-9 <= value <= 2.0 * 1.0 + 1e-9  # 2 min(log2 2, log2 4)
+
+
+def _frozen_dephased_mutual_info(rho: DensityMatrix, basis: ProductBasis, cut) -> float:
+    """Frozen reference for ``dephased_mutual_information_stack``: the
+    one-state outcome-distribution route, with its own clip, axis sums and
+    entropy order."""
+    b = basis.matrix
+    probs = np.clip((b.conj() * (rho.matrix @ b)).sum(axis=-2).real, 0.0, None)
+    grid = probs.reshape(rho.dims)
+    group_a, group_b = normalize_cut(rho.dims, cut)
+    p_a = grid.sum(axis=tuple(group_b)).reshape(-1)
+    p_b = grid.sum(axis=tuple(group_a)).reshape(-1)
+    h = entropy_of_probabilities
+    return h(p_a) + h(p_b) - h(probs)
+
+
+class TestDephasedMutualInformationStack:
+    CASES = [
+        ((2, 2), ((0,), (1,))),
+        ((2, 3), ((0,), (1,))),
+        ((3, 2, 2), ((0,), (1, 2))),
+        ((3, 2, 2), ((0, 2), (1,))),
+    ]
+
+    @pytest.mark.parametrize("dims, cut", CASES)
+    def test_matches_frozen_reference_bit_for_bit(self, dims, cut):
+        gen = substream(15, 0)
+        states = [random_density_matrix(dims, gen) for _ in range(3)]
+        states.append(random_pure_density(dims, gen))
+        bases = [random_product_basis(dims, gen) for _ in states]
+        # A diagonal state with a zero outcome, in its own basis: each row
+        # then sums its positive terms alone.
+        p = gen.random(math.prod(dims))
+        p[0] = 0.0
+        states.append(DensityMatrix(np.diag(p / p.sum()).astype(complex), dims))
+        bases.append(ProductBasis.computational(dims))
+        local = [np.stack([b.local_bases[k] for b in bases]) for k in range(len(dims))]
+        stack = dephased_mutual_information_stack(
+            np.stack([rho.matrix for rho in states]), local, dims, cut
+        )
+        # One state scored in every basis, the sweeps' use.
+        shared = dephased_mutual_information_stack(states[0].matrix[None], local, dims, cut)
+        for i, (rho, basis) in enumerate(zip(states, bases)):
+            assert stack[i] == _frozen_dephased_mutual_info(rho, basis, cut)
+            assert shared[i] == _frozen_dephased_mutual_info(states[0], basis, cut)
+            assert abs(stack[i] - mutual_information(dephase(rho, basis), cut)) <= 1e-9
+
+
+class TestRandomProductBases:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2, 2)])
+    def test_each_member_is_one_random_product_basis(self, dims):
+        stacked_gens = [substream(16, k) for k in range(5)]
+        single_gens = [substream(16, k) for k in range(5)]
+        stacks = random_product_bases(stacked_gens, dims)
+        assert [u.shape for u in stacks] == [(5, d, d) for d in dims]
+        for i, gen in enumerate(single_gens):
+            basis = random_product_basis(dims, gen)
+            for k in range(len(dims)):
+                assert np.array_equal(stacks[k][i], basis.local_bases[k])
+        # Each generator is left where one call leaves it: its next draws match.
+        for stacked, single in zip(stacked_gens, single_gens):
+            assert np.array_equal(stacked.standard_normal(8), single.standard_normal(8))
+
+    def test_no_generators_give_empty_stacks(self):
+        assert [u.shape for u in random_product_bases([], (2, 3))] == [(0, 2, 2), (0, 3, 3)]
+
+    def test_non_unitary_member_rejected(self, monkeypatch):
+        import netcoh.coherence as coherence
+
+        original = coherence.haar_unitaries
+
+        def skewed(z):
+            u = original(z)
+            u[-1] *= 1.0 + 1e-8
+            return u
+
+        monkeypatch.setattr(coherence, "haar_unitaries", skewed)
+        with pytest.raises(ValueError, match="not unitary within 1e-9"):
+            random_product_bases([substream(16, k) for k in range(3)], (2, 2))
 
 
 class TestNetGlobalCoherence:

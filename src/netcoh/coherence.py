@@ -4,6 +4,8 @@ All entropies and coherence figures are in bits (logarithm base 2), so one
 maximally coherent qubit carries exactly 1.0 bit.  The convention
 0 log 0 := 0 applies throughout; eigenvalues in [-1e-9, 0) are clamped to
 zero before entropy evaluation and anything more negative is a hard error.
+State entropies take their spectra from stacked ``linalg.hermitian_eig``
+calls, or in closed form at d = 2.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .linalg import (
     as_square_matrix,
     density_stack,
     hermitian_eig,
-    partial_trace,
     partial_trace_stack,
     subsystem_indices,
     tensor,
@@ -229,25 +230,19 @@ def _eigvals_2x2(m: np.ndarray) -> np.ndarray:
     return np.stack([half_tr - radius, half_tr + radius], axis=-1)
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) in bits; lies in [0, log2 dim].
-
-    Except at d = 2 the spectrum cached on ``rho`` is used, so repeated
-    entropies of one state cost one eigendecomposition.
-    """
-    if rho.dim == 2:
-        return entropy_of_probabilities(_eigvals_2x2(rho.matrix))
-    return entropy_of_probabilities(rho.spectrum)
-
-
 def _von_neumann_entropies(states: np.ndarray) -> np.ndarray:
-    """``von_neumann_entropy`` of each state of a validated (N, d, d) stack:
-    the same closed form at d = 2 and the same ``eigh`` bits otherwise (a
-    validated state is exactly Hermitian, so ``hermitian_eig``'s
-    symmetrization leaves it as it is)."""
+    """S in bits of each state of a validated (N, d, d) stack, from one
+    ``hermitian_eig`` call or the closed form at d = 2 (a validated state is
+    exactly Hermitian, so symmetrizing it keeps its bits)."""
     if states.shape[-1] == 2:
         return entropies_of_probabilities(_eigvals_2x2(states))
-    return entropies_of_probabilities(np.linalg.eigh(states)[0])
+    return entropies_of_probabilities(hermitian_eig(states)[0])
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """S(rho) in bits; lies in [0, log2 dim].  The one-state case of
+    ``_von_neumann_entropies``."""
+    return float(_von_neumann_entropies(rho.matrix[None])[0])
 
 
 def _basis_probabilities(rho_mat: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -518,9 +513,9 @@ def basis_dependent_discord(rho: DensityMatrix, basis: ProductBasis, direction: 
     require_bipartite(rho)
     _check_basis(rho, basis)
     side = _measured_side(direction)
-    other = 1 - side
-    mi = mutual_information(rho, BIPARTITE_CUT)
-    ent_other = von_neumann_entropy(partial_trace(rho, (other,)))
+    cut_states = _cut_states(rho.matrix[None], rho.dims, BIPARTITE_CUT)
+    s_ab, s_a, s_b = (float(_von_neumann_entropies(m)[0]) for m in cut_states)
+    mi, ent_other = s_a + s_b - s_ab, (s_a, s_b)[1 - side]
     return float(
         _discord_fixed_entropies(rho.matrix, rho.dims, side, basis.local_bases[side], mi, ent_other)
     )
@@ -634,16 +629,16 @@ def _minimize_sides(
     rho: DensityMatrix, sides: tuple[int, ...], seed: int, restarts: int
 ) -> list[tuple[float, ProductBasis]]:
     """``minimize_discord``'s result for each measured side in ``sides``."""
-    marginals = [partial_trace(rho, (k,)) for k in (0, 1)]
-    entropies = [von_neumann_entropy(marg) for marg in marginals]
-    mi = entropies[0] + entropies[1] - von_neumann_entropy(rho)  # mutual_information's sum
+    cut_states = _cut_states(rho.matrix[None], rho.dims, BIPARTITE_CUT)
+    s_ab, *entropies = (float(_von_neumann_entropies(m)[0]) for m in cut_states)
+    mi = entropies[0] + entropies[1] - s_ab  # mutual_information's sum
     results = {}
     pending = {}  # qubit side -> its first bases and their values
     for side in sides:
         d_m, ent_other = rho.dims[side], entropies[1 - side]
         # For zero-discord states every basis may reach the floor, and this one
         # also diagonalizes the measured marginal (what witnesses downstream want).
-        _, marginal_basis = hermitian_eig(marginals[side].matrix)
+        _, marginal_basis = hermitian_eig(cut_states[1 + side][0])
         first = np.stack([marginal_basis, np.eye(d_m, dtype=complex)])
         values = _discord_fixed_entropies(rho.matrix, rho.dims, side, first, mi, ent_other)
         if np.any(values < ZERO_DISCORD_FLOOR):

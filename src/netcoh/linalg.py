@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,11 +41,6 @@ def as_square_matrix(m: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     return a
-
-
-def is_hermitian(m: np.ndarray) -> bool:
-    a = np.asarray(m)
-    return bool(np.abs(a - a.conj().T).max() <= ATOL_IDENTITY)
 
 
 def unitarity_errors(u: np.ndarray) -> np.ndarray:
@@ -123,13 +118,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """Eigenvalues in ascending order, decomposed once per state."""
-        w = hermitian_eig(self.matrix)[0]
-        w.setflags(write=False)
-        return w
 
     @classmethod
     def from_vector(cls, psi: np.ndarray, dims: Sequence[int]) -> "DensityMatrix":
@@ -269,16 +257,26 @@ def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
+    """Eigendecomposition by LAPACK (``numpy.linalg.eigh``) of each matrix of
+    a (..., d, d) stack, bit for bit as one call per matrix; every state
+    entropy's spectrum comes from here.
 
-    Returns (eigenvalues ascending, eigenvector columns).  The input must be
-    Hermitian within 1e-10 and is symmetrized before decomposition; the
-    reconstruction ``V diag(w) V^dag`` matches it to within 1e-9.
+    Returns (eigenvalues ascending, eigenvector columns).  Each matrix must be
+    Hermitian within 1e-10, else ``NotHermitianError`` names the first that is
+    not; the stack is symmetrized before decomposition, and the reconstruction
+    ``V diag(w) V^dag`` matches it to within 1e-9.
     """
-    a = as_square_matrix(m)
-    if not is_hermitian(a):
-        raise NotHermitianError("hermitian_eig requires a Hermitian matrix")
-    return np.linalg.eigh((a + a.conj().T) / 2.0)
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise DimensionMismatchError(f"expected a (..., d, d) stack, got shape {a.shape}")
+    adj = a.conj().swapaxes(-2, -1)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the check
+        err = np.abs(a - adj).max(axis=(-2, -1))
+    if not np.all(err <= ATOL_IDENTITY):
+        k = np.unravel_index(np.argmax(~(err <= ATOL_IDENTITY)), err.shape)
+        member = f"member {list(map(int, k))}: " if k else ""
+        raise NotHermitianError(f"not Hermitian: {member}max |m - m^dag| = {err[k]:.3e}")
+    return np.linalg.eigh((a + adj) / 2.0)
 
 
 def _canonical_phase(vec: np.ndarray) -> np.ndarray:

@@ -391,11 +391,19 @@ class TestNetGlobalCoherence:
         assert report.rec_net >= -1e-9
 
     def test_each_spectrum_decomposed_once(self, monkeypatch):
-        # Every eigendecomposition, one-state or stacked, goes through eigh.
-        dims_seen = []
-        original = np.linalg.eigh
+        # Every eigendecomposition, one-state or stacked, goes through eigh,
+        # called by hermitian_eig as coherence binds it.
+        import netcoh.coherence as coherence
+
+        dims_seen, dims_at_eig = [], []
+        original, original_eig = np.linalg.eigh, coherence.hermitian_eig
         monkeypatch.setattr(
             np.linalg, "eigh", lambda m: dims_seen.append(m.shape[-1]) or original(m)
+        )
+        monkeypatch.setattr(
+            coherence,
+            "hermitian_eig",
+            lambda m: dims_at_eig.append(m.shape[-1]) or original_eig(m),
         )
         gen = substream(14, 2000)
         rho = random_density_matrix((2,) * 5, gen)
@@ -404,7 +412,7 @@ class TestNetGlobalCoherence:
         report = net_global_coherence(rho, basis, cut)
         # S(rho) and S(dephased rho) at d = 32; each marginal and each
         # dephased marginal once at d = 4 and d = 8.
-        assert sorted(dims_seen) == [4, 4, 8, 8, 32, 32]
+        assert sorted(dims_seen) == sorted(dims_at_eig) == [4, 4, 8, 8, 32, 32]
         monkeypatch.undo()
         assert report.mutual_info == mutual_information(rho, cut)
         assert report.mutual_info_dephased == mutual_information(dephase(rho, basis), cut)

@@ -1,4 +1,6 @@
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,18 +121,6 @@ class TestDensityMatrix:
         with pytest.raises(InvalidStateError, match=re.escape(str(alone.value))):
             density_stack(stack)
 
-    def test_spectrum_is_decomposed_once(self, monkeypatch):
-        import netcoh.linalg as linalg
-
-        calls = []
-        original = linalg.hermitian_eig
-        monkeypatch.setattr(linalg, "hermitian_eig", lambda m: calls.append(1) or original(m))
-        rho = random_density_matrix((2, 4), substream(3, 4))
-        first = rho.spectrum
-        assert rho.spectrum is first and len(calls) == 1
-        assert np.array_equal(first, original(rho.matrix)[0])
-        assert not first.flags.writeable
-
     def test_rejects_dims_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             DensityMatrix(np.eye(4) / 4, (2, 3))
@@ -214,6 +204,32 @@ class TestHermitianEig:
         with pytest.raises(NotHermitianError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("d", [3, 4, 8])
+    def test_stack_matches_one_matrix_calls_bit_for_bit(self, d):
+        gen = substream(3, 6, d)
+        g = gen.standard_normal((3, d, d)) + 1j * gen.standard_normal((3, d, d))
+        # Hermitian up to roundoff-sized noise, which the symmetrization removes.
+        stack = (g + g.conj().swapaxes(-2, -1)) / 2 + 1e-13 * g
+        w, v = hermitian_eig(stack)
+        for k in range(3):
+            w_k, v_k = hermitian_eig(stack[k])
+            assert np.array_equal(w[k], w_k) and np.array_equal(v[k], v_k)
+
+    @pytest.mark.parametrize("flaw", ["non-hermitian", "nan"])
+    def test_stack_names_first_failing_member(self, flaw):
+        stack = np.stack([np.diag([0.25, 0.75]).astype(complex)] * 4)
+        stack[1, 0, 1] = np.nan if flaw == "nan" else 1e-9
+        stack[3, 0, 1] = 1.0
+        with pytest.raises(NotHermitianError) as err:
+            hermitian_eig(stack)
+        text = "nan" if flaw == "nan" else "1.000e-09"
+        assert str(err.value).endswith(f"member [1]: max |m - m^dag| = {text}")
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 3, 4)])
+    def test_rejects_non_square_shapes(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            hermitian_eig(np.zeros(shape))
+
     @pytest.mark.parametrize("name", ["maximally_mixed", "rank_one", "ghz5"])
     def test_degenerate_spectra_d32(self, name):
         d = 32
@@ -239,6 +255,39 @@ class TestHermitianEig:
             w, _ = hermitian_eig(rho.matrix)
             assert w.min() >= -1e-9 and w.max() <= 1 + 1e-9
             assert abs(w.sum() - 1) <= 1e-9
+
+
+# Where an eigensolver may be called in the package: the one spectral path,
+# and the conditional blocks of the discord objective, which are not states.
+EIGENSOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
+EIGENSOLVER_HOMES = {("linalg", "hermitian_eig"), ("coherence", "_discord_from_blocks")}
+
+
+def _eigensolver_uses(tree: ast.AST, function: str = ""):
+    """(enclosing function, line) of each eigensolver attribute or call by
+    name under ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _eigensolver_uses(node, node.name)
+            continue
+        if (isinstance(node, ast.Attribute) and node.attr in EIGENSOLVERS) or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in EIGENSOLVERS
+        ):
+            yield function, node.lineno
+        yield from _eigensolver_uses(node, function)
+
+
+def test_eigensolvers_are_called_only_in_the_spectral_layer():
+    import netcoh
+
+    strays = []
+    for path in sorted(Path(netcoh.__file__).parent.glob("*.py")):
+        for function, line in _eigensolver_uses(ast.parse(path.read_text())):
+            if (path.stem, function) not in EIGENSOLVER_HOMES:
+                strays.append(f"{path.name}:{line} in {function or '<module>'}")
+    assert strays == []
 
 
 class TestUnitaryEig:

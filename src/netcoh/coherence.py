@@ -33,7 +33,7 @@ from .linalg import (
     tensor_stack,
     unitarity_errors,
 )
-from .rng import DEFAULT_SEED, ginibre, haar_unitaries, haar_unitary, substream
+from .rng import DEFAULT_SEED, ginibre_stack, haar_unitaries, haar_unitary, substream
 
 A_TO_B = "a_to_b"
 B_TO_A = "b_to_a"
@@ -103,16 +103,36 @@ def require_unitary_stack(stack: np.ndarray) -> None:
         raise ValueError("local basis matrix is not unitary within 1e-9")
 
 
-def random_product_bases(gens: Sequence[np.random.Generator], dims: Sequence[int]) -> list:
-    """Haar-random product bases, one per generator, each drawing one Ginibre
-    matrix per subsystem in subsystem order: one (N, d_k, d_k) stack of
-    unitaries per subsystem, checked by ``require_unitary_stack``."""
-    draws = [[ginibre(int(d), gen) for d in dims] for gen in gens]
-    stacks = [np.array([draw[k] for draw in draws], complex) for k in range(len(dims))]
-    stacks = [haar_unitaries(z.reshape(-1, d, d)) for z, d in zip(stacks, dims)]
+def product_basis_normals(dims: Sequence[int]) -> int:
+    """Standard normal draws one product basis on ``dims`` takes: 2 d_k^2
+    per subsystem (one Ginibre matrix each)."""
+    return sum(2 * int(d) ** 2 for d in dims)
+
+
+def haar_product_bases(normals: Sequence[np.ndarray], dims: Sequence[int]) -> list:
+    """Haar-random product bases from N rows of ``product_basis_normals(dims)``
+    standard normals (a sequence or an (N, n) array), one basis per row:
+    each row is cut, in subsystem order, into one Ginibre matrix per
+    subsystem (``ginibre_stack``).  Returns one (N, d_k, d_k) stack of
+    unitaries per subsystem, each from one batched QR and checked by
+    ``require_unitary_stack``."""
+    normals = np.asarray(normals, dtype=float).reshape(len(normals), product_basis_normals(dims))
+    cuts = np.cumsum([0] + [2 * int(d) ** 2 for d in dims])
+    stacks = [
+        haar_unitaries(ginibre_stack(normals[:, lo:hi], int(d)))
+        for lo, hi, d in zip(cuts[:-1], cuts[1:], dims)
+    ]
     for u in stacks:
         require_unitary_stack(u)
     return stacks
+
+
+def random_product_bases(gens: Sequence[np.random.Generator], dims: Sequence[int]) -> list:
+    """Haar-random product bases, one per generator, each drawing one Ginibre
+    matrix per subsystem in subsystem order: ``haar_product_bases`` on one
+    draw of ``product_basis_normals(dims)`` standard normals per generator."""
+    n = product_basis_normals(dims)
+    return haar_product_bases([gen.standard_normal(n) for gen in gens], dims)
 
 
 def random_product_basis(dims: Sequence[int], gen: np.random.Generator) -> ProductBasis:

@@ -21,12 +21,17 @@ sum and no support, so no verdict or witness moves.
 verdict and witness.  The sparsity tests take one support mask over the
 stack, and each witness is the first hit in operator, then column (or row)
 order (``argmax`` over the member's flattened mask).  The matrix-unit test
-visits one operator index at a time, for every member not yet failed, and
-stops once all have failed: for F it forms the d x d x d products
-F_ak conj(F_bl) with a = b and with k = l, which bounds its working memory
-at O(N d^3) per operator index, so O(d^3) for one channel, not O(K d^3).
+forms, for each operator F, the d x d x d products F_ak conj(F_bl) with
+a = b and with k = l.  It visits the operators in blocks, for every member
+not yet failed, and stops once all have failed; a block of B operators on
+P members holds P B d^3 products, and B is the most that keeps this within
+``MAX_BLOCK_ENTRIES`` (2^18), or 1.  So its working memory is
+O(max(2^18, N d^3)) entries, not O(N K d^3).
 ``embed_classical`` and ``sandwich_dephase`` stack basis outer products into
-their Kraus sets.
+their Kraus sets.  A random incoherent channel is drawn alone
+(``draw_incoherent_kraus``, in stream order) and built with others
+(``build_incoherent_kraus``, one ``hermitian_eig`` call per group size for
+every channel given).
 """
 from __future__ import annotations
 
@@ -48,6 +53,10 @@ from .linalg import (
 
 STRUCTURAL_ZERO = ATOL_IDENTITY
 PRUNE_NORM = 1e-12
+
+# Most complex products the matrix-unit strictness test forms at once: a
+# block of B operators on P members forms P B d^3 of them.
+MAX_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -224,26 +233,29 @@ def _matrix_unit_strict(frames: np.ndarray) -> list[tuple[bool, StrictnessWitnes
     # Definitional check: dephasing commutes with each Kraus operator on
     # every matrix unit |k><l|.  F|k><l|F^dag has entries F_ak conj(F_bl);
     # the commutator keeps its diagonal (a = b) when k != l and its
-    # off-diagonal (a != b) when k = l.  Operator i is tested on the
-    # members that passed operators 0 to i - 1.
+    # off-diagonal (a != b) when k = l.  Operators are tested in blocks, on
+    # the members that passed every earlier block; a member's witness is
+    # its first hit in operator, then (k, l) order.
     n, k, d, _ = frames.shape
     diag = np.arange(d)
     verdicts: list[tuple[bool, StrictnessWitness | None]] = [(True, None)] * n
     pending = np.arange(n)
-    for i in range(k):
-        f = frames[pending, i]
+    lo = 0
+    while lo < k and pending.size:
+        hi = min(k, lo + max(1, MAX_BLOCK_ENTRIES // (pending.size * d**3)))
+        f = frames[pending, lo:hi]
         fc = f.conj()
-        gap = np.abs(f[:, :, :, None] * fc[:, :, None, :]).max(axis=1)  # [k, l], a = b
-        same = np.abs(f[:, :, None, :] * fc[:, None, :, :])  # [a, b, k], k = l
-        same[:, diag, diag] = 0.0
-        gap[:, diag, diag] = same.max(axis=(1, 2))
+        gap = np.abs(f[..., :, :, None] * fc[..., :, None, :]).max(axis=-3)  # [k, l], a = b
+        same = np.abs(f[..., :, None, :] * fc[..., None, :, :])  # [a, b, k], k = l
+        same[..., diag, diag, :] = 0.0
+        gap[..., diag, diag] = same.max(axis=(-3, -2))
         hits = _first_hits(gap > STRUCTURAL_ZERO)
         for member, hit in zip(pending.tolist(), hits):
             if hit is not None:
-                verdicts[member] = (False, StrictnessWitness(i, *divmod(hit, d)))
+                i, unit = divmod(hit, d * d)
+                verdicts[member] = (False, StrictnessWitness(lo + i, *divmod(unit, d)))
         pending = pending[[hit is None for hit in hits]]
-        if not pending.size:
-            break
+        lo = hi
     return verdicts
 
 
@@ -346,6 +358,13 @@ def extract_classical(channel: KrausChannel, basis: ProductBasis) -> StochasticM
     ok, witness = strict_incoherent_stack(frames[None])[0]
     if not ok:
         raise ValueError(f"channel is not strict incoherent (witness {witness})")
+    return classical_action(frames)
+
+
+def classical_action(frames: np.ndarray) -> StochasticMatrix:
+    """G_ij = sum_m |F_m[i, j]|^2 for a strict incoherent channel's (K, d, d)
+    Kraus operators in the basis frame, not checked for strictness: the
+    body of ``extract_classical``, for a caller that has run the test."""
     g = (np.abs(frames) ** 2).sum(axis=0)
     # Zero any structural dust so columns sum to exactly 1 within 1e-12.
     g[g < STRUCTURAL_ZERO**2] = 0.0
@@ -373,40 +392,80 @@ def sandwich_dephase(inner: KrausChannel, basis: ProductBasis) -> KrausChannel:
     return KrausChannel(coeffs * _basis_units(basis.matrix, rows, cols))
 
 
-def random_incoherent_kraus(d: int, gen: np.random.Generator) -> np.ndarray:
-    """Kraus operators of a random incoherent channel on d levels, as a
-    (K, d, d) stack with exact completeness; ``random_incoherent_channel``
-    wraps them.
+# Completion weights are at least 1 - 0.95^2 = 0.0975, far above this floor,
+# so every completion row is drawn before its weight is known.
+COMPLETION_FLOOR = 1e-14
 
-    Columns are partitioned into groups of one or two; each group feeds one
-    random row through a random amplitude vector, and the group's
-    completeness deficit is eigen-factored into further single-row members.
-    Two-column members have two entries in one row, so generic draws are
-    incoherent but not strict; all-singleton draws are strict.
+
+def draw_incoherent_kraus(d: int, gen: np.random.Generator) -> tuple:
+    """The draws of one random incoherent channel on d levels, in stream
+    order, for ``build_incoherent_kraus``.
+
+    A random column order is cut into groups of one or two columns.  Each
+    group draws a complex amplitude vector w scaled to a norm in
+    [0.2, 0.95], the row it feeds, and one row for each of its g
+    completion members.  Returns one (columns, w, row, completion rows)
+    tuple per group.
     """
     order = gen.permutation(d)
-    groups = []
+    columns = []
     i = 0
     while i < d:
         size = 2 if (i + 1 < d and gen.random() < 0.6) else 1
-        groups.append([int(c) for c in order[i : i + size]])
+        columns.append(order[i : i + size].tolist())
         i += size
-    members = []
-    for group in groups:
-        g = len(group)
-        w = gen.standard_normal(g) + 1j * gen.standard_normal(g)
+    groups = []
+    for cols in columns:
+        w = gen.standard_normal(len(cols)) + 1j * gen.standard_normal(len(cols))
         w *= (0.2 + 0.75 * gen.random()) / np.linalg.norm(w)
-        f = np.zeros((d, d), dtype=complex)
-        f[int(gen.integers(d)), group] = w
-        members.append(f)
-        deficit = np.eye(g) - np.outer(w.conj(), w)
-        lam, vec = hermitian_eig(deficit)
-        for m in range(g):
-            if lam[m] > 1e-14:
-                comp = np.zeros((d, d), dtype=complex)
-                comp[int(gen.integers(d)), group] = np.sqrt(lam[m]) * vec[:, m].conj()
-                members.append(comp)
-    return np.stack(members)
+        row = int(gen.integers(d))
+        completion_rows = [int(gen.integers(d)) for _ in cols]
+        groups.append((cols, w, row, completion_rows))
+    return tuple(groups)
+
+
+def build_incoherent_kraus(d: int, draws: Sequence[tuple]) -> list[np.ndarray]:
+    """The (K, d, d) Kraus stack of each channel drawn by
+    ``draw_incoherent_kraus``, with exact completeness.
+
+    Each group feeds its row through w, and its completeness deficit
+    I - conj(w) w^T is eigen-factored into single-row members, one per
+    eigenvalue, after the group's own member.  One ``hermitian_eig`` call
+    per group size covers every group of every channel.  Two-column members
+    have two entries in one row, so generic draws are incoherent but not
+    strict; all-singleton draws are strict.
+    """
+    groups = [group for draw in draws for group in draw]
+    completions: list = [None] * len(groups)
+    for size in sorted({len(w) for _, w, _, _ in groups}):
+        members = [j for j, (_, w, _, _) in enumerate(groups) if len(w) == size]
+        w = np.stack([groups[j][1] for j in members])
+        lam, vec = hermitian_eig(np.eye(size) - w.conj()[:, :, None] * w[:, None, :])
+        if not np.all(lam > COMPLETION_FLOOR):
+            raise ArithmeticError("completion weight below 1e-14; the draws would shift")
+        for j, comp in zip(members, np.sqrt(lam)[:, None, :] * vec.conj()):
+            completions[j] = comp
+    stacks = []
+    pending = iter(completions)
+    for draw in draws:
+        ops = np.zeros((len(draw) + d, d, d), dtype=complex)
+        m = 0
+        for cols, w, row, completion_rows in draw:
+            ops[m, row, cols] = w
+            comp = next(pending)
+            for c, r in enumerate(completion_rows):
+                ops[m + 1 + c, r, cols] = comp[:, c]
+            m += 1 + len(cols)
+        stacks.append(ops)
+    return stacks
+
+
+def random_incoherent_kraus(d: int, gen: np.random.Generator) -> np.ndarray:
+    """Kraus operators of a random incoherent channel on d levels, as a
+    (K, d, d) stack with exact completeness: ``build_incoherent_kraus`` on
+    one ``draw_incoherent_kraus``.  ``random_incoherent_channel`` wraps
+    them."""
+    return build_incoherent_kraus(d, [draw_incoherent_kraus(d, gen)])[0]
 
 
 def random_incoherent_channel(d: int, gen: np.random.Generator) -> KrausChannel:

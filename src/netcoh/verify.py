@@ -3,7 +3,9 @@
 Each suite sweeps a seeded ensemble, returns one row per sampled instance
 for CSV export, and an overall pass flag.  Instance generators draw from
 counter-derived substreams, so results are independent of chunking and of
-the worker count used to parallelize a sweep.
+the worker count used to parallelize a sweep.  A chunk's substreams come
+from ``rng.draw_substreams``, one rekeyed generator, with the same values as
+one fresh generator per instance.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from .coherence import (
     BIPARTITE_CUT,
     ProductBasis,
     dephased_mutual_information_stack,
+    haar_product_bases,
     minimize_discord_pair,
     mutual_information,
     net_global_coherence_stack,
-    random_product_bases,
+    product_basis_normals,
     random_product_basis,
 )
 from .linalg import (
@@ -48,7 +51,7 @@ from .ndqc2 import (
     privacy_audit,
     sample_run_with_record,
 )
-from .rng import ginibre, haar_unitaries, haar_unitary, substream
+from .rng import draw_substreams, ginibre_stack, haar_unitaries, haar_unitary, substream
 
 SUITE_NAMES = ("thm4", "thm5", "thm6", "lemma1", "isomorphism", "se-scaling", "privacy")
 
@@ -84,6 +87,7 @@ MAX_CHUNK = 1000
 # Fixed ensemble parameters that ``--ensemble-size`` does not scale.
 _THM5_BASES = 20  # product bases sampled per thm5 state
 _THM6_BASES = 50  # product bases sampled per discordant thm6 state
+_THM6_DRAWS = 51  # states drawn per discordant thm6 instance before it fails
 _SE_SHOT_GRID = (1_000, 10_000, 100_000)
 _SE_REPS = 6  # protocol runs averaged per se-scaling shot count
 _PRIVACY_SHOTS = 40_000
@@ -153,8 +157,11 @@ def _sweep(
     and a fork pool runs them.  thm4 and lemma1 compute each chunk as
     stacked arrays; the other suites run its instances one by one, and thm5
     and thm6 score each state's 20 or 50 bases as one stack.  Every product
-    basis of the five sweeps is drawn by ``coherence.random_product_bases``.
-    Each instance draws from its own substream, so the rows do not depend on
+    basis of the five sweeps is built by ``coherence.haar_product_bases``
+    from one row of standard normals per basis.  Each instance draws from
+    its own substream (thm4, lemma1, the thm6 CC family and the thm5 and
+    thm6 bases through ``rng.draw_substreams``, which rekeys one generator
+    per instance and gives the same values), so the rows do not depend on
     the chunking or the worker count.
     """
     chunks = [
@@ -174,7 +181,10 @@ def _nets_in_random_bases(rho: DensityMatrix, seed: int, lane: int, i: int, coun
     """Net coherence of state ``i`` in ``count`` Haar product bases, basis b
     from substream (seed, lane, 2, i, b), as I(rho) minus each dephased
     state's mutual information; and the bases' local stacks."""
-    bases = random_product_bases([substream(seed, lane, 2, i, b) for b in range(count)], rho.dims)
+    n = product_basis_normals(rho.dims)
+    lanes = [(lane, 2, i, b) for b in range(count)]
+    normals = draw_substreams(seed, lanes, lambda gen: gen.standard_normal(n))
+    bases = haar_product_bases(normals, rho.dims)
     dephased = dephased_mutual_information_stack(rho.matrix[None], bases, rho.dims, BIPARTITE_CUT)
     return mutual_information(rho, BIPARTITE_CUT) - dephased, bases
 
@@ -199,23 +209,33 @@ def _thm4_rows(seed: int, kind: str, start: int, stop: int) -> list[dict]:
 
     Each instance draws from its own substream, in the order of the
     one-state generators: a Hilbert-Schmidt state's Ginibre matrix (for
-    "product", one per factor) and then its basis, or for "cc" its basis
-    and then the eigenvalue weights.  All that follows runs once on the
-    chunk's stacks: the states and their ``DensityMatrix`` checks, and
-    ``net_global_coherence_stack``.  The rows hold its figures, so the
-    suite, not an exception, reports a floor or route violation.
+    "product", one per factor) and then its basis, all one run of standard
+    normals, or for "cc" its basis and then the eigenvalue weights.  All
+    that follows runs once on the chunk's stacks: the states and their
+    ``DensityMatrix`` checks, and ``net_global_coherence_stack``.  The rows
+    hold its figures, so the suite, not an exception, reports a floor or
+    route violation.
     """
     dims = _THM4_DIMS[kind]
-    gens = [substream(seed, _LANE_THM4, _THM4_LANES[kind], i) for i in range(start, stop)]
+    lanes = [(_LANE_THM4, _THM4_LANES[kind], i) for i in range(start, stop)]
+    n_basis = product_basis_normals(dims)
     if kind == "cc":
-        bases = random_product_bases(gens, dims)
-        weights = np.stack([gen.random(math.prod(dims)) for gen in gens])
+        draws = draw_substreams(
+            seed, lanes, lambda gen: (gen.standard_normal(n_basis), gen.random(math.prod(dims)))
+        )
+        bases = haar_product_bases([normals for normals, _ in draws], dims)
+        weights = np.array([w for _, w in draws])
         states = density_stack(_cc_stack(tensor_stack(*bases), weights))
     else:
         shapes = dims if kind == "product" else (math.prod(dims),)
-        draws = [[ginibre(d, gen) for d in shapes] for gen in gens]
-        bases = random_product_bases(gens, dims)
-        factors = [density_stack(hilbert_schmidt_stack(np.stack(g))) for g in zip(*draws)]
+        cuts = np.cumsum([0] + [2 * d * d for d in shapes]).tolist()
+        n = cuts[-1] + n_basis
+        normals = np.array(draw_substreams(seed, lanes, lambda gen: gen.standard_normal(n)))
+        bases = haar_product_bases(normals[:, cuts[-1] :], dims)
+        factors = [
+            density_stack(hilbert_schmidt_stack(ginibre_stack(normals[:, lo:hi], d)))
+            for lo, hi, d in zip(cuts, cuts[1:], shapes)
+        ]
         states = density_stack(tensor_stack(*factors)) if kind == "product" else factors[0]
     figures = net_global_coherence_stack(states, bases, dims, BIPARTITE_CUT)
     route_gaps = np.abs(figures.rec_net - (figures.mutual_info - figures.mutual_info_dephased))
@@ -302,44 +322,59 @@ def suite_thm5(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
 # CC recovery and discordant states (thm6)
 
 
-def _thm6_row(seed: int, kind: str, i: int) -> dict:
-    if kind == "cc":
-        gen = substream(seed, _LANE_THM6, 0, i)
-        frame = tensor_stack(*random_product_bases([gen], (2, 2)))
-        rho = DensityMatrix(_cc_stack(frame, gen.random(4)[None])[0], (2, 2))
-        (val_ab, basis_ab), (val_ba, basis_ba) = minimize_discord_pair(rho)
-        # The candidates: both minimizers' bases, and A -> B's side A with
-        # B -> A's side B.  Routes that disagree leave None as the witness.
-        (a_ab, b_ab), (a_ba, b_ba) = basis_ab.local_bases, basis_ba.local_bases
-        local = [np.stack([a_ab, a_ba, a_ab]), np.stack([b_ab, b_ba, b_ba])]
-        figures = net_global_coherence_stack(np.repeat(rho.matrix[None], 3, 0), local, rho.dims)
-        gaps = np.abs(figures.rec_net - (figures.mutual_info - figures.mutual_info_dephased))
-        witness = float(figures.rec_net.min()) if np.all(gaps <= ATOL_SPECTRAL) else None
-        return {
-            "kind": "cc",
-            "index": i,
-            "discord_ab": val_ab,
-            "discord_ba": val_ba,
-            "rec_net_witness": witness,
-        }
-    attempt = 0
-    while True:
-        gen = substream(seed, _LANE_THM6, 1, i, attempt)
-        rho = random_density_matrix((2, 2), gen)
+def _thm6_cc_row(rho: DensityMatrix, i: int) -> dict:
+    (val_ab, basis_ab), (val_ba, basis_ba) = minimize_discord_pair(rho)
+    # The candidates: both minimizers' bases, and A -> B's side A with
+    # B -> A's side B.  Routes that disagree leave None as the witness.
+    (a_ab, b_ab), (a_ba, b_ba) = basis_ab.local_bases, basis_ba.local_bases
+    local = [np.stack([a_ab, a_ba, a_ab]), np.stack([b_ab, b_ba, b_ba])]
+    figures = net_global_coherence_stack(np.repeat(rho.matrix[None], 3, 0), local, rho.dims)
+    gaps = np.abs(figures.rec_net - (figures.mutual_info - figures.mutual_info_dephased))
+    witness = float(figures.rec_net.min()) if np.all(gaps <= ATOL_SPECTRAL) else None
+    return {
+        "kind": "cc",
+        "index": i,
+        "discord_ab": val_ab,
+        "discord_ba": val_ba,
+        "rec_net_witness": witness,
+    }
+
+
+def _thm6_discordant_row(seed: int, i: int) -> dict:
+    # Draw t comes from substream (seed, lane, 1, i, t).  If none of the
+    # draws is discordant, the row holds None for its net coherence and the
+    # last draw's discord values.
+    for attempt in range(_THM6_DRAWS):
+        rho = random_density_matrix((2, 2), substream(seed, _LANE_THM6, 1, i, attempt))
         (val_ab, _), (val_ba, _) = minimize_discord_pair(rho)
         if min(val_ab, val_ba) > 0.01:
+            nets, _ = _nets_in_random_bases(rho, seed, _LANE_THM6, i, _THM6_BASES)
+            rec_net_min = float(nets.min())
             break
-        attempt += 1
-        if attempt > 50:
-            raise RuntimeError("rejection sampling failed to find a discordant state")
-    nets, _ = _nets_in_random_bases(rho, seed, _LANE_THM6, i, _THM6_BASES)
+    else:
+        rec_net_min = None
     return {
         "kind": "discordant",
         "index": i,
         "discord_ab": val_ab,
         "discord_ba": val_ba,
-        "rec_net_min": float(nets.min()),
+        "rec_net_min": rec_net_min,
     }
+
+
+def _thm6_rows(seed: int, kind: str, start: int, stop: int) -> list[dict]:
+    """thm6 rows for instances ``start`` to ``stop - 1`` of one family.  A
+    CC instance draws its basis and then its eigenvalue weights from its own
+    substream, and the chunk's states are built as one stack; each state
+    then runs alone."""
+    if kind == "discordant":
+        return [_thm6_discordant_row(seed, i) for i in range(start, stop)]
+    lanes = [(_LANE_THM6, 0, i) for i in range(start, stop)]
+    n_basis = product_basis_normals((2, 2))
+    draws = draw_substreams(seed, lanes, lambda gen: (gen.standard_normal(n_basis), gen.random(4)))
+    frames = tensor_stack(*haar_product_bases([normals for normals, _ in draws], (2, 2)))
+    states = _cc_stack(frames, np.array([w for _, w in draws]))
+    return [_thm6_cc_row(DensityMatrix(m, (2, 2)), i) for m, i in zip(states, range(start, stop))]
 
 
 def suite_thm6(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
@@ -347,8 +382,9 @@ def suite_thm6(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
     vanishing net coherence.  Discordant states: positive net coherence in
     each of 50 sampled product bases.  A CC state whose candidate bases'
     routes disagree, or whose witness is below the positivity floor, is a
-    failure of its row."""
-    rows = _sweep(_each(_thm6_row), seed, _families("thm6", scale), workers)
+    failure of its row, and so is a discordant instance none of whose 51
+    draws is discordant."""
+    rows = _sweep(_thm6_rows, seed, _families("thm6", scale), workers)
     failures = []
     for row in rows:
         name = f"{row['kind']}[{row['index']}]"
@@ -362,6 +398,8 @@ def suite_thm6(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
                 failures.append(f"{name}: witness rec_net {witness:.3e} < -1e-9")
             elif witness > NET_COHERENCE_WITNESS_THRESHOLD:
                 failures.append(f"{name}: witness rec_net {witness:.3e} > 1e-6")
+        elif row["rec_net_min"] is None:
+            failures.append(f"{name}: no discordant state in {_THM6_DRAWS} draws")
         elif row["rec_net_min"] <= NET_COHERENCE_WITNESS_THRESHOLD:
             failures.append(f"{name}: rec_net {row['rec_net_min']:.3e} <= 1e-6")
     return SuiteResult("thm6", not failures, rows, failures)
@@ -376,17 +414,22 @@ _LEMMA1_DIMS = (2, 2)
 _LEMMA1_DIM = math.prod(_LEMMA1_DIMS)
 
 
-def _lemma1_draw(gen: np.random.Generator, family: int) -> np.ndarray | None:
-    """One lemma1 instance's family draw, taken after its basis draws: an
-    incoherent Kraus set (family 0), a 4x4 Ginibre matrix (1), a
-    permutation (2) or nothing (3)."""
+def _lemma1_draw(gen: np.random.Generator, family: int) -> tuple:
+    """One lemma1 instance's draws, in stream order: the ``rotated`` flag,
+    a rotated instance's local-basis normals (None otherwise), then its
+    family draw: an incoherent channel's draws (family 0), a 4x4 Ginibre
+    matrix's normals (1), a permutation (2) or nothing (3)."""
+    rotated = bool(gen.integers(2))
+    normals = gen.standard_normal(product_basis_normals(_LEMMA1_DIMS)) if rotated else None
     if family == 0:
-        return iops.random_incoherent_kraus(_LEMMA1_DIM, gen)
-    if family == 1:
-        return ginibre(_LEMMA1_DIM, gen)
-    if family == 2:
-        return gen.permutation(_LEMMA1_DIM)
-    return None
+        drawn = iops.draw_incoherent_kraus(_LEMMA1_DIM, gen)
+    elif family == 1:
+        drawn = gen.standard_normal(2 * _LEMMA1_DIM**2)
+    elif family == 2:
+        drawn = gen.permutation(_LEMMA1_DIM)
+    else:
+        drawn = None
+    return rotated, normals, drawn
 
 
 def _lemma1_kraus(family: int, draws: list, bases: np.ndarray, rotated: np.ndarray) -> np.ndarray:
@@ -395,13 +438,13 @@ def _lemma1_kraus(family: int, draws: list, bases: np.ndarray, rotated: np.ndarr
     the basis frame if the instance is rotated), a Haar unitary, the
     permutation unitary B P B^dag, or the dephasing projectors B_k B_k^dag."""
     if family == 0:
-        raw = iops.pad_kraus(draws)
+        raw = iops.pad_kraus(iops.build_incoherent_kraus(_LEMMA1_DIM, draws))
         iops.require_kraus_stack(raw)  # the generated channel, before rotation
         b = bases[rotated][:, None]
         raw[rotated] = b @ raw[rotated] @ b.conj().swapaxes(-2, -1)
         return raw
     if family == 1:
-        return haar_unitaries(np.stack(draws))[:, None]
+        return haar_unitaries(ginibre_stack(np.stack(draws), _LEMMA1_DIM))[:, None]
     if family == 2:
         perms = np.zeros_like(bases)
         perms[np.arange(len(draws))[:, None], np.stack(draws), np.arange(_LEMMA1_DIM)] = 1.0
@@ -423,12 +466,15 @@ def _lemma1_rows(seed: int, _family: str, start: int, stop: int) -> list[dict]:
     both strictness tests (which raise if they disagree).
     """
     index = range(start, stop)
-    gens = [substream(seed, _LANE_LEMMA1, i) for i in index]
-    rotated = np.array([bool(gen.integers(2)) for gen in gens])
-    local = random_product_bases([g for g, r in zip(gens, rotated) if r], _LEMMA1_DIMS)
     family = np.arange(start, stop) % 4
-    draws = [_lemma1_draw(gen, f) for gen, f in zip(gens, family)]
-    factors = [np.tile(np.eye(d, dtype=complex), (len(gens), 1, 1)) for d in _LEMMA1_DIMS]
+    families = iter(family.tolist())  # draw_substreams draws once per lane, in order
+    instances = draw_substreams(
+        seed, [(_LANE_LEMMA1, i) for i in index], lambda gen: _lemma1_draw(gen, next(families))
+    )
+    rotated = np.array([r for r, _, _ in instances])
+    local = haar_product_bases([n for r, n, _ in instances if r], _LEMMA1_DIMS)
+    draws = [d for _, _, d in instances]
+    factors = [np.tile(np.eye(d, dtype=complex), (len(index), 1, 1)) for d in _LEMMA1_DIMS]
     for u, drawn in zip(factors, local):
         u[rotated] = drawn
     bases = tensor_stack(*factors)
@@ -500,9 +546,12 @@ def _iso_row(seed: int, _family: str, i: int) -> dict:
     stoch = iops.StochasticMatrix(g)
     basis = random_product_basis((d,), gen)
     channel = iops.embed_classical(stoch, basis)
-    strict, _ = iops.is_strict_incoherent(channel, basis)
-    round_trip = iops.extract_classical(channel, basis)
-    rt_err = float(np.max(np.abs(round_trip.matrix - g)))
+    # One strictness test per instance: a channel that fails it fails its
+    # row, and only a strict one takes the round trip (extract_classical
+    # without its own test).
+    frames = iops.in_frame_stack(channel.kraus[None], basis.matrix[None])
+    ((strict, _),) = iops.strict_incoherent_stack(frames)
+    rt_err = float(np.max(np.abs(iops.classical_action(frames[0]).matrix - g))) if strict else None
     p = gen.random(d)
     p /= p.sum()
     b = basis.matrix
@@ -522,13 +571,14 @@ def _iso_row(seed: int, _family: str, i: int) -> dict:
 
 def suite_isomorphism(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
     """Embedding of stochastic maps round-trips exactly and reproduces the
-    classical action on diagonal states."""
+    classical action on diagonal states.  An embedded channel that is not
+    strict incoherent is a failure of its row, with no round trip (None)."""
     rows = _sweep(_each(_iso_row), seed, _families("isomorphism", scale), workers)
     failures = []
     for row in rows:
         if not row["strict"]:
             failures.append(f"iso[{row['index']}]: embedded channel not strict")
-        if row["round_trip_err"] > ATOL_IDENTITY:
+        elif row["round_trip_err"] > ATOL_IDENTITY:
             failures.append(f"iso[{row['index']}]: round trip err {row['round_trip_err']:.3e}")
         if row["action_err"] > ATOL_IDENTITY:
             failures.append(f"iso[{row['index']}]: action err {row['action_err']:.3e}")

@@ -479,6 +479,24 @@ class TestVerifyCommand:
             {"family": "unitary", "incoherent": False, "index": 1, "strict": False},
         ]
 
+    @pytest.mark.parametrize("suite", ["thm5", "thm6"])
+    def test_thm5_thm6_chunking_does_not_change_results(self, tmp_path, monkeypatch, suite):
+        # Their bases, and thm6's CC states, are drawn a chunk at a time;
+        # chunks of 1, of 7 and of a whole family, and two workers, give
+        # the same bytes.
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        argv = ["verify", suite, "--ensemble-size", "0.05", "--seed", "7", "--format", "json"]
+        reports = []
+        plans = ((1, "1"), (7, "1"), (verify.MAX_CHUNK, "1"), (verify.MAX_CHUNK, "2"))
+        for limit, workers in plans:
+            monkeypatch.setattr(verify, "MAX_CHUNK", limit)
+            monkeypatch.setenv("NETCOH_WORKERS", workers)
+            out = tmp_path / f"{limit}-{workers}"
+            assert main(argv + ["--out", str(out)]) == 0
+            reports.append((out / f"{suite}.json").read_bytes())
+        assert reports[1:] == reports[:1] * 3
+        assert hashlib.sha256(reports[0]).hexdigest() == GOLDEN_VERIFY_SHA256[suite, "0.05"]
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_chunk_plan_is_bounded(self, workers):
         # The plan alone: no instance runs, so 10**6 instances cost nothing.
@@ -596,9 +614,49 @@ class TestVerifyCommand:
         assert failures[0].startswith("  cc[0]: witness rec_net -")
         assert failures[0].endswith(" < -1e-9")
 
+    def test_thm6_rejection_failure_is_a_failure_row(self, tmp_path, monkeypatch, capsys):
+        # 51 draws with no discordant state once raised RuntimeError, which
+        # the CLI printed as a traceback; now it fails its row (exit 1).
+        from netcoh.coherence import ProductBasis
+
+        basis = ProductBasis.computational((2, 2))
+        def no_discord(rho):
+            return (0.0, basis), (0.0, basis)
+
+        monkeypatch.setattr(verify, "minimize_discord_pair", no_discord)
+        argv = ["verify", "thm6", "--ensemble-size", "0.01", "--seed", "7", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("thm6: FAIL, 4 instances")
+        assert "  discordant[0]: no discordant state in 51 draws" in lines
+        assert "  discordant[1]: no discordant state in 51 draws" in lines
+        rows = json.loads((tmp_path / "thm6.json").read_text())["rows"]
+        assert [row["rec_net_min"] for row in rows if row["kind"] == "discordant"] == [None, None]
+
+    def test_non_strict_embedding_is_a_failure_row(self, tmp_path, monkeypatch, capsys):
+        # The round trip once ran extract_classical after the strictness
+        # test, and its ValueError exited 2 before the suite could report
+        # the channel; now the failure is the row's (exit 1).
+        import netcoh.incoherent_ops as iops
+
+        def fourier(g, basis):
+            d = g.dim
+            f = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
+            return iops.KrausChannel.unitary(basis.matrix @ f @ basis.matrix.conj().T)
+
+        monkeypatch.setattr(iops, "embed_classical", fourier)
+        argv = ["verify", "isomorphism", "--ensemble-size", "0.02", "--seed", "7"]
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "isomorphism: FAIL, 2 instances (4 failures)"
+        assert lines[1] == "  iso[0]: embedded channel not strict"
+        assert lines[2].startswith("  iso[0]: action err ")
+        rows = json.loads((tmp_path / "isomorphism.json").read_text())["rows"]
+        assert [(row["strict"], row["round_trip_err"]) for row in rows] == [(False, None)] * 2
+
     def test_sweeps_draw_bases_only_through_the_stacked_sampler(self, monkeypatch):
         # Every product basis of these sweeps comes from
-        # coherence.random_product_bases, which calls no haar_unitary.
+        # coherence.haar_product_bases, which calls no haar_unitary.
         import netcoh.coherence as coherence
         import netcoh.rng as rng
 

@@ -14,7 +14,9 @@ from netcoh.incoherent_ops import (
     KrausChannel,
     StochasticMatrix,
     apply_channel,
+    build_incoherent_kraus,
     compose_channels,
+    draw_incoherent_kraus,
     embed_classical,
     extract_classical,
     in_frame_stack,
@@ -24,6 +26,7 @@ from netcoh.incoherent_ops import (
     pad_kraus,
     StrictnessWitness,
     random_incoherent_channel,
+    random_incoherent_kraus,
     require_kraus_stack,
     sandwich_dephase,
     strict_incoherent_stack,
@@ -33,6 +36,7 @@ from netcoh.linalg import (
     ATOL_SPECTRAL,
     DensityMatrix,
     DimensionMismatchError,
+    hermitian_eig,
     random_density_matrix,
 )
 from netcoh.rng import haar_unitary, substream
@@ -611,3 +615,125 @@ def test_strictness_stack_matches_one_channel():
     assert strict == [is_strict_incoherent(c, b) for c, b in zip(channels, bases)]
     assert {ok for ok, _ in strict} == {True, False}
     assert any(w is not None and w.kraus_index > 0 for _, w in strict)
+
+
+# ---------------------------------------------------------------------------
+# Frozen copies of the code the blocked and batched forms replaced: the
+# matrix-unit test one operator index at a time over the stack, and the
+# one-channel generator with one eigendecomposition per group.
+
+
+def _per_operator_matrix_unit_strict(frames):
+    n, k, d, _ = frames.shape
+    diag = np.arange(d)
+    verdicts = [(True, None)] * n
+    pending = np.arange(n)
+    for i in range(k):
+        f = frames[pending, i]
+        fc = f.conj()
+        gap = np.abs(f[:, :, :, None] * fc[:, :, None, :]).max(axis=1)
+        same = np.abs(f[:, :, None, :] * fc[:, None, :, :])
+        same[:, diag, diag] = 0.0
+        gap[:, diag, diag] = same.max(axis=(1, 2))
+        hits = incoherent_ops._first_hits(gap > STRUCTURAL_ZERO)
+        for member, hit in zip(pending.tolist(), hits):
+            if hit is not None:
+                verdicts[member] = (False, StrictnessWitness(i, *divmod(hit, d)))
+        pending = pending[[hit is None for hit in hits]]
+        if not pending.size:
+            break
+    return verdicts
+
+
+def _frozen_random_incoherent_kraus(d, gen):
+    order = gen.permutation(d)
+    groups = []
+    i = 0
+    while i < d:
+        size = 2 if (i + 1 < d and gen.random() < 0.6) else 1
+        groups.append([int(c) for c in order[i : i + size]])
+        i += size
+    members = []
+    for group in groups:
+        g = len(group)
+        w = gen.standard_normal(g) + 1j * gen.standard_normal(g)
+        w *= (0.2 + 0.75 * gen.random()) / np.linalg.norm(w)
+        f = np.zeros((d, d), dtype=complex)
+        f[int(gen.integers(d)), group] = w
+        members.append(f)
+        deficit = np.eye(g) - np.outer(w.conj(), w)
+        lam, vec = hermitian_eig(deficit)
+        for m in range(g):
+            if lam[m] > 1e-14:
+                comp = np.zeros((d, d), dtype=complex)
+                comp[int(gen.integers(d)), group] = np.sqrt(lam[m]) * vec[:, m].conj()
+                members.append(comp)
+    return np.stack(members)
+
+
+def _late_failing_frames(gen):
+    """An embedded channel's frames with a second entry in one row of its
+    last operator: strict up to that operator."""
+    frames = incoherent_ops._in_frame(embed_classical(_stochastic(4, gen), Z2), Z2).copy()
+    row, col = divmod(int(np.flatnonzero(frames[-1])[0]), 4)
+    frames[-1, row, (col + 1) % 4] = 0.25
+    return frames
+
+
+def _strictness_test_channels():
+    gen = substream(29, 0)
+    sets = []
+    for i in range(24):
+        basis = random_product_basis((2, 2), gen) if i % 3 else Z2
+        kind = i % 3
+        if kind == 0:
+            channel = embed_classical(_stochastic(4, gen), basis)
+            sets.append(incoherent_ops._in_frame(channel, basis))
+        elif kind == 1:
+            sets.append(random_incoherent_channel(4, gen).kraus)
+        else:
+            sets.append(_late_failing_frames(gen))
+    return pad_kraus(sets)
+
+
+@pytest.mark.parametrize("budget", [1, 64 * 3, 64 * 24 * 3, 64 * 24 * 7, None])
+def test_blocked_matrix_unit_test_matches_per_operator_loop(monkeypatch, budget):
+    # Budgets of one operator per block, of blocks that split one Kraus set
+    # (and a stack of 24), and the default.
+    if budget is not None:
+        monkeypatch.setattr(incoherent_ops, "MAX_BLOCK_ENTRIES", budget)
+    frames = _strictness_test_channels()
+    expected = _per_operator_matrix_unit_strict(frames)
+    assert incoherent_ops._matrix_unit_strict(frames) == expected
+    for member, verdict in zip(frames, expected):
+        assert incoherent_ops._matrix_unit_strict(member[None]) == [verdict]
+    assert {ok for ok, _ in expected} == {True, False}
+    assert max(w.kraus_index for _, w in expected if w is not None) >= 8
+
+
+def test_random_incoherent_kraus_matches_frozen_generator():
+    # Same operators, and each generator left where the old one left it.
+    for d in (1, 2, 3, 4, 5, 8):
+        for i in range(60):
+            gen, frozen = substream(30, d, i), substream(30, d, i)
+            expected = _frozen_random_incoherent_kraus(d, frozen)
+            assert np.array_equal(random_incoherent_kraus(d, gen), expected)
+            assert np.array_equal(gen.random(3), frozen.random(3))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 7])
+def test_channels_built_together_match_one_at_a_time(d):
+    draws = [draw_incoherent_kraus(d, substream(31, d, i)) for i in range(40)]
+    together = build_incoherent_kraus(d, draws)
+    for i, ops in enumerate(together):
+        assert np.array_equal(ops, random_incoherent_kraus(d, substream(31, d, i)))
+    assert build_incoherent_kraus(d, []) == []
+
+
+def test_completion_floor_is_checked(monkeypatch):
+    # Every completion weight is at least 0.0975, so the rows drawn for them
+    # never depend on it; a weight under the floor raises, never shifts.
+    draws = [draw_incoherent_kraus(4, substream(32, i)) for i in range(20)]
+    monkeypatch.setattr(incoherent_ops, "COMPLETION_FLOOR", 0.5)
+    with pytest.raises(ArithmeticError, match="completion weight"):
+        build_incoherent_kraus(4, draws)

@@ -130,12 +130,13 @@ def _load_unitary_entry(entry, base_dir: Path):
 
 def _write_out(args, seed, inputs: tuple[str, ...], started: float, reports: dict) -> None:
     """With ``--out``, write each report text under its file name, plus a
-    ``manifest.json`` with the command, seed, tool version, the SHA-256 of
-    each input file and the run time.  Without ``--out``, do nothing."""
+    ``manifest.json`` with the command ``main`` ran, seed, tool version, the
+    SHA-256 of each input file and the run time.  Without ``--out``, do
+    nothing."""
     if not args.out:
         return
     manifest = {
-        "command": " ".join(sys.argv),
+        "command": " ".join(["netcoh", *args.argv]),
         "seed": seed,
         "tool_version": __version__,
         "inputs": {path: _file_digest(path) for path in inputs},
@@ -338,11 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through.
         return int(exc.code) if exc.code is not None else EXIT_PARSE
+    args.argv = argv
     try:
         return args.func(args)
     except ParseFailure as exc:

@@ -344,7 +344,10 @@ GATE_MATRICES: dict[str, np.ndarray] = {
     "Z": np.diag([1.0, -1.0]).astype(complex),
 }
 
-TWO_QUBIT_GATES = ("CNOT", "CZ")
+# Each two-qubit gate applies this one-qubit gate to its second target when
+# its first target is |1>.
+CONTROLLED_GATES = {"CNOT": "X", "CZ": "Z"}
+TWO_QUBIT_GATES = tuple(CONTROLLED_GATES)
 
 # Largest gate network: d = 1024, the largest size the spectral path is
 # checked at; its unitary takes 16 MiB.
@@ -397,13 +400,8 @@ def _embedded_gate(n: int, name: str, targets: tuple[int, ...]) -> np.ndarray:
 
     if name in GATE_MATRICES:
         return chain({targets[0]: GATE_MATRICES[name]})
-    if name == "CNOT":
-        ctrl, tgt = targets
-        return chain({ctrl: _P0}) + chain({ctrl: _P1, tgt: GATE_MATRICES["X"]})
-    if name == "CZ":
-        a, b = targets
-        return chain({a: _P0}) + chain({a: _P1, b: GATE_MATRICES["Z"]})
-    raise ValueError(f"unknown gate name {name!r}")
+    ctrl, tgt = targets
+    return chain({ctrl: _P0}) + chain({ctrl: _P1, tgt: GATE_MATRICES[CONTROLLED_GATES[name]]})
 
 
 def compile_gate_network(network: GateNetwork) -> np.ndarray:

@@ -5,6 +5,10 @@ the estimation of the product of their normalized traces to two
 non-communicating servers (Alice, Bob) that can only apply unitaries and
 perform destructive measurements.  Charlie may prepare at most two pure
 qubits per preparation branch; everything else he sends is maximally mixed.
+The harness records a message only if its (sender, receiver, kind) is one
+of the six in ``ALLOWED_MESSAGES``: Charlie sends each server its gate
+network and state share, each server sends statistics back to him, and the
+servers never talk to each other.
 
 The simulator is exact on the state side (density matrices evolve in closed
 form) and Monte Carlo on the measurement side, with Born-rule sampling from
@@ -23,7 +27,7 @@ tests; protocol runs sample from the closed form without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -563,11 +567,18 @@ def sample_run_with_record(
 # Party harness and transcript
 
 
-MESSAGE_KINDS = ("state", "gate-network", "statistics")
-
-
-# Charlie is the client; Alice and Bob are the servers.
-PARTIES = ("charlie", "alice", "bob")
+# Every (sender, receiver, kind) the protocol allows; Charlie is the client,
+# Alice and Bob the servers.
+ALLOWED_MESSAGES = frozenset(
+    {
+        ("charlie", "alice", "gate-network"),
+        ("charlie", "bob", "gate-network"),
+        ("charlie", "alice", "state"),
+        ("charlie", "bob", "state"),
+        ("alice", "charlie", "statistics"),
+        ("bob", "charlie", "statistics"),
+    }
+)
 
 
 class CapabilityViolationError(RuntimeError):
@@ -587,53 +598,28 @@ class TranscriptMessage:
     payload_digest: str
 
     def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "sender": self.sender,
-            "receiver": self.receiver,
-            "kind": self.kind,
-            "payload_digest": self.payload_digest,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class ProtocolTranscript:
     messages: tuple[TranscriptMessage, ...]
 
-    def validate(self) -> None:
-        """Re-check the transcript invariants after the fact."""
-        for m in self.messages:
-            if {m.sender, m.receiver} == {"alice", "bob"}:
-                raise CapabilityViolationError("servers communicated", m.index)
-            if m.kind == "state" and m.sender != "charlie":
-                raise CapabilityViolationError("quantum state from a non-client party", m.index)
-
     def to_json(self) -> list[dict]:
         return [m.to_json() for m in self.messages]
 
 
 class Harness:
-    """Audited in-process message bus enforcing the party capability rules."""
+    """Audited in-process message bus: ``send`` records a message only if its
+    (sender, receiver, kind) triple is in ``ALLOWED_MESSAGES``."""
 
     def __init__(self):
         self._messages: list[TranscriptMessage] = []
 
     def send(self, sender: str, receiver: str, kind: str, payload) -> int:
         index = len(self._messages)
-        if sender not in PARTIES or receiver not in PARTIES:
-            raise CapabilityViolationError(f"unknown party in {sender}->{receiver}", index)
-        if sender == receiver:
-            raise CapabilityViolationError(f"{sender} may not message itself", index)
-        if kind not in MESSAGE_KINDS:
-            raise CapabilityViolationError(f"unknown payload kind {kind!r}", index)
-        if {sender, receiver} == {"alice", "bob"}:
-            raise CapabilityViolationError("servers are forbidden to communicate", index)
-        if kind in ("state", "gate-network") and sender != "charlie":
-            raise CapabilityViolationError(
-                f"only the client may send {kind} payloads, not {sender}", index
-            )
-        if kind == "statistics" and (sender == "charlie" or receiver != "charlie"):
-            raise CapabilityViolationError("statistics flow from servers to the client", index)
+        if (sender, receiver, kind) not in ALLOWED_MESSAGES:
+            raise CapabilityViolationError(f"{sender} may not send {kind!r} to {receiver}", index)
         self._messages.append(TranscriptMessage(index, sender, receiver, kind, digest(payload)))
         return index
 
@@ -670,7 +656,12 @@ def _statistics_payload(record: MeasurementRecord, server: str) -> dict:
     return {"server": server, "outcomes": rows}
 
 
-INJECTION_MODES = ("alice_to_bob", "bob_to_alice", "server_state")
+# The forbidden (sender, receiver, kind) message each injection mode forges.
+INJECTIONS = {
+    "alice_to_bob": ("alice", "bob", "statistics"),
+    "bob_to_alice": ("bob", "alice", "statistics"),
+    "server_state": ("alice", "charlie", "state"),
+}
 
 
 def run_protocol_detailed(
@@ -686,11 +677,11 @@ def run_protocol_detailed(
     Charlie distributes gate networks and state shares, the servers evolve
     and measure, statistics return to Charlie, and he combines them.  The
     resulting report and record are those of ``sample_run_with_record`` at
-    the same seed.  An ``inject`` mode forges one forbidden message to
-    exercise the audit.
+    the same seed.  An ``inject`` mode, a key of ``INJECTIONS``, forges one
+    forbidden message to exercise the audit.
     """
     _require_task(task)
-    if inject is not None and inject not in INJECTION_MODES:
+    if inject is not None and not (isinstance(inject, str) and inject in INJECTIONS):
         raise ValueError(f"unknown injection mode {inject!r}")
     u_a, u_b = networks
     harness = Harness()
@@ -712,21 +703,15 @@ def run_protocol_detailed(
             },
         )
 
-    if inject == "alice_to_bob":
-        harness.send("alice", "bob", "statistics", {"forged": True})
-    if inject == "bob_to_alice":
-        harness.send("bob", "alice", "statistics", {"forged": True})
-    if inject == "server_state":
-        harness.send("alice", "charlie", "state", {"forged": True})
+    if inject is not None:
+        harness.send(*INJECTIONS[inject], {"forged": True})
 
     report, record = sample_run_with_record(task, u_a, u_b, shots, seed, signs)
 
     harness.send("alice", "charlie", "statistics", _statistics_payload(record, "alice"))
     harness.send("bob", "charlie", "statistics", _statistics_payload(record, "bob"))
 
-    transcript = harness.transcript()
-    transcript.validate()
-    return report, transcript, record
+    return report, harness.transcript(), record
 
 
 # ---------------------------------------------------------------------------

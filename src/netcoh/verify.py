@@ -23,7 +23,6 @@ from . import incoherent_ops as iops
 from .classify import DISCORD_ZERO_THRESHOLD, NET_COHERENCE_WITNESS_THRESHOLD
 from .coherence import (
     BIPARTITE_CUT,
-    ProductBasis,
     dephased_mutual_information_stack,
     haar_product_bases,
     minimize_discord_pair,
@@ -507,29 +506,26 @@ def suite_lemma1(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult
         if row["family"] in ("permutation", "dephasing") and not row["strict"]:
             failures.append(f"channel[{row['index']}]: {row['family']} failed strictness")
 
-    basis2 = ProductBasis.computational((2,))
     s2 = math.sqrt(0.5)
-    hadamard = iops.KrausChannel.unitary(np.array([[s2, s2], [s2, -s2]], dtype=complex))
-    h_inc, _ = iops.is_incoherent(hadamard, basis2)
-    h_strict, _ = iops.is_strict_incoherent(hadamard, basis2)
-    plus_channel = iops.KrausChannel(
-        (
-            np.array([[s2, s2], [0, 0]], dtype=complex),  # |0><+|
-            np.array([[0, 0], [s2, -s2]], dtype=complex),  # |1><-|
-        )
+    canonical = iops.pad_kraus(
+        [
+            np.array([[[s2, s2], [s2, -s2]]], dtype=complex),  # Hadamard
+            np.array([[[s2, s2], [0, 0]], [[0, 0], [s2, -s2]]], dtype=complex),  # |0><+|, |1><-|
+        ]
     )
-    p_inc, _ = iops.is_incoherent(plus_channel, basis2)
-    p_strict, witness = iops.is_strict_incoherent(plus_channel, basis2)
-    for label, value, expected in (
-        ("hadamard incoherent", h_inc, False),
-        ("hadamard strict", h_strict, False),
-        ("plus-channel incoherent", p_inc, True),
-        ("plus-channel strict", p_strict, False),
+    iops.require_kraus_stack(canonical)
+    frames = iops.in_frame_stack(canonical, np.stack([np.eye(2, dtype=complex)] * 2))
+    strict = iops.strict_incoherent_stack(frames)
+    expected = {"hadamard": (False, False), "plus-channel": (True, False)}
+    for (name, wants), (inc, _), (st, _) in zip(
+        expected.items(), iops.incoherent_stack(frames), strict
     ):
-        rows.append({"index": label, "family": "canonical", "incoherent": value, "strict": value})
-        if value != expected:
-            failures.append(f"canonical case {label}: got {value}, expected {expected}")
-    if witness is None:
+        for test, value, want in zip(("incoherent", "strict"), (inc, st), wants):
+            label = f"{name} {test}"
+            rows.append({"index": label, "family": "canonical", "incoherent": inc, "strict": st})
+            if value != want:
+                failures.append(f"canonical case {label}: got {value}, expected {want}")
+    if strict[1][1] is None:
         failures.append("plus-channel strictness failure carries no witness")
     return SuiteResult("lemma1", not failures, rows, failures)
 

@@ -238,6 +238,33 @@ class TestNdqc2Command:
         path.write_text(json.dumps(desc))
         assert main(["ndqc2", str(path)]) == 4
 
+    @pytest.mark.parametrize(
+        "mode, code, message",
+        [
+            ("alice_to_bob", 4, "index 4: alice may not send 'statistics' to bob"),
+            ("bob_to_alice", 4, "index 4: bob may not send 'statistics' to alice"),
+            ("server_state", 4, "index 4: alice may not send 'state' to charlie"),
+            ("teleport", 2, "unknown injection mode 'teleport'"),
+            (["alice_to_bob"], 2, "unknown injection mode ['alice_to_bob']"),
+            ({"mode": 1}, 2, "unknown injection mode {'mode': 1}"),
+        ],
+    )
+    def test_injection_modes(self, tmp_path, capsys, mode, code, message):
+        # Each forged message follows Charlie's four, at transcript index 4.
+        desc = {
+            "task": 2,
+            "shots": 16,
+            "seed": 1,
+            "unitary_a": matrix_to_json(np.eye(2)),
+            "unitary_b": matrix_to_json(np.eye(2)),
+            "inject_violation": mode,
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(desc))
+        assert main(["ndqc2", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
     def test_malformed_descriptor_exits_2(self, tmp_path):
         path = tmp_path / "desc.json"
         path.write_text(json.dumps({"task": 2}))
@@ -429,6 +456,20 @@ class TestVerifyCommand:
         assert manifest["seed"] == 7 and manifest["inputs"] == {}
         assert manifest["tool_version"] and manifest["duration_seconds"] >= 0
         assert sorted(p.name for p in out.iterdir()) == ["lemma1.csv", "manifest.json"]
+
+    def test_manifest_names_the_command_main_ran(self, tmp_path, monkeypatch):
+        # The host process's argv (pytest's, a bench's) is not the command.
+        out = tmp_path / "verify"
+        argv = ["verify", "lemma1", "--ensemble-size", "0.001", "--out", str(out)]
+        monkeypatch.setattr(sys, "argv", ["-c", "--host-flag"])
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "netcoh " + " ".join(argv)
+        # Without an argument, main runs the command line after the program name.
+        monkeypatch.setattr(sys, "argv", ["entry-point", *argv[:-1], str(tmp_path / "again")])
+        assert main() == 0
+        manifest = json.loads((tmp_path / "again" / "manifest.json").read_text())
+        assert manifest["command"] == "netcoh " + " ".join([*argv[:-1], str(tmp_path / "again")])
 
     @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5", ""])
     def test_bad_worker_count_exits_2(self, monkeypatch, capsys, value):
@@ -793,8 +834,8 @@ GOLDEN_TRANSCRIPT_TASK2_SHA256 = "dcd4ea21173e8dd683a1f7b17e1bee9567035a34b48c26
 
 # SHA-256 of the ``--format json --out`` report of each verify sweep at seed 7.
 GOLDEN_VERIFY_SHA256 = {
-    ("lemma1", "0.1"): "4fb553bf15173e4af3ef2012e0b094909f6436d3b34aadbeded5580862b791ad",
-    ("lemma1", "1"): "993ad715ac4737431da27afdce201714b6368254f9151087612a5b18d403a4d1",
+    ("lemma1", "0.1"): "78aac2f47286620308d8d6581dea384b6b1bffca207c3c0914f2f4ca5c4cb916",
+    ("lemma1", "1"): "6e54f8dcfcb135e059bfed04727b6a4fe0da4e899f002dd88fcbeb28954b0d15",
     ("isomorphism", "0.2"): "1579ae4c1d7e6c54b25deb22d45d0e1cd370572e685bbea8bc677b133762d9f2",
     ("thm6", "0.05"): "90eff1c76851d8fc60726f0e160f94789d7dd0b15f590b012e1b92a3c85dbd60",
     ("thm4", "0.04"): "cb79e033c622a0595bda3fe29cf3a551b25791f7e77d6ca145d45c54580c1490",

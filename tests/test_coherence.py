@@ -547,6 +547,11 @@ class TestBasisDependentDiscord:
 
 
 class TestMinimizeDiscord:
+    @pytest.mark.parametrize("direction", ["A_TO_B", "b_to_a ", None])
+    def test_rejects_unknown_direction(self, direction):
+        with pytest.raises(ValueError, match="direction must be"):
+            minimize_discord(bell_state(), direction)
+
     def test_rotated_cc_state_recovered(self):
         gen = substream(16, 0)
         prob = gen.random((2, 2))
@@ -643,6 +648,10 @@ class TestProductBasis:
     def test_rejects_dims_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             ProductBasis((np.eye(2),), (2, 2))
+
+    def test_rejects_local_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="local basis dim 3 != subsystem dim 2"):
+            ProductBasis((np.eye(2), np.eye(3)), (2, 2))
 
     def test_global_matrix_is_tensor_of_locals(self):
         gen = substream(17, 0)

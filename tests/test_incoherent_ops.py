@@ -132,6 +132,13 @@ class TestApplyChannel:
         expected[p] = [0.1, 0.2, 0.3, 0.4]
         assert np.max(np.abs(out.matrix - np.diag(expected))) <= 1e-12
 
+    def test_dimension_mismatch(self):
+        rho = DensityMatrix(np.diag([0.25, 0.75]), (2,))
+        with pytest.raises(DimensionMismatchError, match="channel dim 4 != state dim 2"):
+            apply_channel(KrausChannel.unitary(np.eye(4)), rho)
+        with pytest.raises(DimensionMismatchError, match="different dimension"):
+            compose_channels(KrausChannel.unitary(np.eye(2)), KrausChannel.unitary(np.eye(4)))
+
 
 class TestIsIncoherent:
     def test_hadamard_creates_coherence(self):
@@ -155,6 +162,10 @@ class TestIsIncoherent:
         assert is_incoherent(z_gate, x_basis)[0]
         assert is_strict_incoherent(z_gate, x_basis)[0]
         assert not is_incoherent(KrausChannel.unitary(HADAMARD), x_basis)[0]
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="channel dim 2 != basis dim 4"):
+            is_incoherent(KrausChannel.unitary(HADAMARD), Z2)
 
 
 class TestIsStrictIncoherent:
@@ -252,6 +263,14 @@ class TestUsiGenerators:
 
 
 class TestClassicalEmbedding:
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="stochastic dim 3 != basis dim 2"):
+            embed_classical(StochasticMatrix(np.eye(3)), Z1)
+
+    def test_non_square_stochastic_matrix_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="expected square matrix"):
+            StochasticMatrix(np.full((2, 3), 0.5))
+
     def test_identity_stochastic(self):
         channel = embed_classical(StochasticMatrix(np.eye(3)), ProductBasis.computational((3,)))
         rho = DensityMatrix(np.diag([0.2, 0.3, 0.5]), (3,))

@@ -13,6 +13,7 @@ from netcoh.linalg import (
     GateNetwork,
     InvalidStateError,
     NotHermitianError,
+    as_square_matrix,
     compile_gate_network,
     density_stack,
     gate_network_from_json,
@@ -62,6 +63,10 @@ class TestTensor:
         # |0><0| (x) |1><1| occupies flat index (0*2+1) = 1.
         m = tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
         assert m[1, 1] == 1.0 and np.sum(np.abs(m)) == 1.0
+
+    def test_needs_an_operand(self):
+        with pytest.raises(ValueError, match="at least one operand"):
+            tensor()
 
 
 class TestDensityMatrix:
@@ -124,6 +129,10 @@ class TestDensityMatrix:
     def test_rejects_dims_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             DensityMatrix(np.eye(4) / 4, (2, 3))
+
+    def test_from_vector_rejects_zero_vector(self):
+        with pytest.raises(InvalidStateError, match="zero vector"):
+            DensityMatrix.from_vector(np.zeros(4), (2, 2))
 
 
 class TestPartialTrace:
@@ -442,6 +451,13 @@ class TestJsonFormats:
         m = random_pure_density((2, 2), gen).matrix
         again = matrix_from_json(matrix_to_json(m))
         assert matrices_equal(m, again, atol=0)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_non_square_matrix_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError, match="expected a square matrix"):
+            as_square_matrix(np.zeros(shape))
+        with pytest.raises(DimensionMismatchError):
+            matrix_to_json(np.zeros(shape))
 
     def test_matrix_rejects_bad_payloads(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
+import ast
 import hashlib
+import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +230,11 @@ class TestPrecisionLaws:
         with pytest.raises(CoherenceResourceError):
             predicted_bp(0.0)
 
+    @pytest.mark.parametrize("shots", [0, -4])
+    def test_needs_at_least_one_shot(self, shots):
+        with pytest.raises(ValueError, match="shots must be at least 1"):
+            predicted_se(0, 0, shots, 1.0)
+
     def test_binary_precision_values(self):
         assert predicted_bp(1.0) == 0.0
         assert abs(predicted_bp(2.0) - 0.5) <= 1e-12
@@ -335,6 +343,22 @@ class TestSampleRun:
                 seed=0,
             )
 
+    @pytest.mark.parametrize("se_predicted", [0.0, -0.1, math.nan])
+    def test_report_needs_positive_predicted_se(self, se_predicted):
+        with pytest.raises(ValueError, match="se_predicted must be positive"):
+            EstimateReport(
+                task=2,
+                shots=100,
+                iota_exact=1.0,
+                iota_est=1.0,
+                se_predicted=se_predicted,
+                se_empirical=0.01,
+                rec_control=1.0,
+                rec_net=1.0,
+                bp_predicted=0.0,
+                seed=0,
+            )
+
     def test_report_json_format(self):
         report, _ = sample_run_with_record(2, I2, I2, 1000, seed=5)
         payload = report.to_json()
@@ -365,7 +389,6 @@ class TestHarnessRules:
             ("alice", "charlie", "statistics"),
             ("bob", "charlie", "statistics"),
         ]
-        transcript.validate()
 
     def test_no_server_to_server_messages(self):
         harness = Harness()
@@ -393,6 +416,35 @@ class TestHarnessRules:
             run_protocol_detailed(2, (I2, I2), 100, seed=11, inject=mode)
         assert err.value.transcript_index >= 0
 
+    def test_harness_records_exactly_the_allowed_messages(self):
+        allowed = {
+            ("charlie", "alice", "gate-network"),
+            ("charlie", "bob", "gate-network"),
+            ("charlie", "alice", "state"),
+            ("charlie", "bob", "state"),
+            ("alice", "charlie", "statistics"),
+            ("bob", "charlie", "statistics"),
+        }
+        parties = ("charlie", "alice", "bob", "eve")
+        kinds = ("state", "gate-network", "statistics", "teleport")
+        harness = Harness()
+        for triple in itertools.product(parties, parties, kinds):
+            recorded = len(harness.transcript().messages)
+            if triple in allowed:
+                assert harness.send(*triple, {}) == recorded
+            else:
+                with pytest.raises(CapabilityViolationError) as err:
+                    harness.send(*triple, {})
+                assert err.value.transcript_index == recorded
+            assert len(harness.transcript().messages) == recorded + (triple in allowed)
+        sent = {(m.sender, m.receiver, m.kind) for m in harness.transcript().messages}
+        assert sent == allowed
+
+    @pytest.mark.parametrize("mode", ["teleport", "", ["alice_to_bob"], {"mode": 1}])
+    def test_unknown_injection_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="unknown injection mode"):
+            run_protocol_detailed(2, (I2, I2), 100, seed=11, inject=mode)
+
     @pytest.mark.parametrize("task", [1, 2])
     @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     def test_preparation_keeps_the_client_rule(self, task, signs):
@@ -411,6 +463,33 @@ class TestHarnessRules:
         report, transcript, _ = run_protocol_detailed(2, (net, net), 2000, seed=14)
         assert abs(report.iota_exact - exact_iota(net, net)) <= 1e-12
         assert len(transcript.messages) == 6
+
+
+def _constructions(tree: ast.AST, name: str, scope: tuple[str, ...] = ()):
+    """(enclosing class and function names, line) of each call of ``name``,
+    bare or as an attribute, under ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (node.name,)
+        elif isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        ):
+            yield scope, node.lineno
+        yield from _constructions(node, name, inner)
+
+
+def test_capability_violations_are_raised_only_by_the_harness():
+    # The capability rules live in one place: the allow-list Harness.send
+    # consults.  Any other construction site would be a second copy of them.
+    import netcoh
+
+    sites = []
+    for path in sorted(Path(netcoh.__file__).parent.glob("*.py")):
+        for scope, line in _constructions(ast.parse(path.read_text()), "CapabilityViolationError"):
+            sites.append((path.stem, ".".join(scope), line))
+    assert [site[:2] for site in sites] == [("ndqc2", "Harness.send")], sites
 
 
 class TestPrivacyAudit:

@@ -1,10 +1,17 @@
 """Command-line front end.
 
 Commands: ``coherence``, ``classify``, ``ndqc2``, ``verify``.  All randomness
-flows from a single ``--seed`` (default 0xC0FFEE); identical command, seed,
-and inputs reproduce byte-identical JSON reports.  The only environment
-variable consulted is NETCOH_WORKERS (verify worker processes; default 1,
-at most the CPU count; anything but an integer >= 1 exits 2).
+flows from a single ``--seed`` (default 0xC0FFEE), an integer in [0, 2^64);
+identical command, seed, and inputs reproduce byte-identical JSON reports.
+The only environment variable consulted is NETCOH_WORKERS (verify worker
+processes; default 1, at most the CPU count; anything but an integer >= 1
+exits 2).
+
+Importing this module loads ``linalg``, ``coherence``, ``rng`` and
+``reporting``, which parsing and the ``coherence`` command need; ``classify``,
+``ndqc2`` and ``verify`` are imported by their own command when it runs.
+``hashlib`` and ``csv`` load only where used (``reporting.digest``, the input
+digests of ``--out``, ``--format csv``).
 
 Exit codes: 0 success; 1 verification assertions failed; 2 parse or usage
 failure; 3 input-state invariant violation; 4 protocol capability violation.
@@ -13,9 +20,7 @@ failure; 3 input-state invariant violation; 4 protocol capability violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import hashlib
 import io
 import json
 import math
@@ -24,7 +29,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, classify as classify_mod
+from . import __version__
 from .coherence import ProductBasis, net_global_coherence, normalize_cut
 from .linalg import (
     DensityMatrix,
@@ -33,10 +38,8 @@ from .linalg import (
     json_int,
     matrix_from_json,
 )
-from .ndqc2 import CapabilityViolationError, run_protocol_detailed
 from .reporting import canonical_dumps
-from .rng import DEFAULT_SEED
-from .verify import run_suite
+from .rng import DEFAULT_SEED, MASK64
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -58,6 +61,8 @@ def _read_json(path: str):
 
 
 def _file_digest(path: str) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         h.update(fh.read())
@@ -132,7 +137,7 @@ def _write_out(args, seed, inputs: tuple[str, ...], started: float, reports: dic
     """With ``--out``, write each report text under its file name, plus a
     ``manifest.json`` with the command ``main`` ran, seed, tool version, the
     SHA-256 of each input file and the run time.  Without ``--out``, do
-    nothing."""
+    nothing.  A directory that cannot be made or written exits 2."""
     if not args.out:
         return
     manifest = {
@@ -140,12 +145,15 @@ def _write_out(args, seed, inputs: tuple[str, ...], started: float, reports: dic
         "seed": seed,
         "tool_version": __version__,
         "inputs": {path: _file_digest(path) for path in inputs},
-        "duration_seconds": round(time.time() - started, 3),
+        "duration_seconds": round(time.perf_counter() - started, 3),
     }
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in {**reports, "manifest.json": canonical_dumps(manifest) + "\n"}.items():
-        (out_dir / name).write_text(text, encoding="utf-8", newline="")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in {**reports, "manifest.json": canonical_dumps(manifest) + "\n"}.items():
+            (out_dir / name).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ParseFailure(f"cannot write reports to --out {args.out}: {exc}") from exc
 
 
 def _emit(args, name: str, payload, started: float) -> None:
@@ -156,7 +164,7 @@ def _emit(args, name: str, payload, started: float) -> None:
 
 
 def cmd_coherence(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     rho = load_state(args.state)
     basis = load_basis(args.basis, rho.dims)
     cut = parse_cut(args.cut, rho.dims)
@@ -166,7 +174,9 @@ def cmd_coherence(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    started = time.time()
+    from . import classify as classify_mod
+
+    started = time.perf_counter()
     rho = load_state(args.state)
     basis = load_basis(args.basis, rho.dims)
     threshold = args.tolerance if args.tolerance is not None else classify_mod.DISCORD_ZERO_THRESHOLD
@@ -176,22 +186,33 @@ def cmd_classify(args) -> int:
 
 
 def cmd_ndqc2(args) -> int:
-    started = time.time()
+    from .ndqc2 import CapabilityViolationError, run_protocol_detailed
+
+    started = time.perf_counter()
     desc = _read_json(args.descriptor)
     base_dir = Path(args.descriptor).resolve().parent
     try:
         task = json_int(desc["task"], "task")
         shots = json_int(desc["shots"], "shots")
         seed = json_int(desc.get("seed", args.seed), "seed")
+        if not 0 <= seed <= MASK64:
+            raise ValueError(f"seed must be in [0, 2^64), got {seed}")
         u_a = _load_unitary_entry(desc["unitary_a"], base_dir)
         u_b = _load_unitary_entry(desc["unitary_b"], base_dir)
         signs = tuple(json_int(s, "signs entry") for s in desc.get("signs", (1, 1)))
         inject = desc.get("inject_violation")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseFailure(f"malformed run descriptor: {exc}") from exc
-    report, transcript, _record = run_protocol_detailed(
-        task, (u_a, u_b), shots, seed, signs, inject
-    )
+    try:
+        report, transcript, _record = run_protocol_detailed(
+            task, (u_a, u_b), shots, seed, signs, inject
+        )
+    except CapabilityViolationError as exc:
+        print(
+            f"protocol capability violation at transcript index {exc.transcript_index}: {exc}",
+            file=sys.stderr,
+        )
+        return EXIT_CAPABILITY
     text = canonical_dumps(report.to_json())
     print(text)
     exact, est = report.iota_exact, report.iota_est
@@ -222,6 +243,8 @@ def worker_count(raw: str | None) -> int:
 
 def _csv_text(rows: list[dict]) -> str:
     """Rows as CSV with sorted column names; empty for no rows."""
+    import csv
+
     if not rows:
         return ""
     buf = io.StringIO()
@@ -232,7 +255,9 @@ def _csv_text(rows: list[dict]) -> str:
 
 
 def cmd_verify(args) -> int:
-    started = time.time()
+    from .verify import run_suite
+
+    started = time.perf_counter()
     workers = worker_count(os.environ.get("NETCOH_WORKERS"))
     try:
         results = run_suite(args.suite, args.seed, args.ensemble_size, workers)
@@ -266,6 +291,19 @@ def _finite(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """``--seed``: an integer in [0, 2^64), written in any base ``int(text, 0)``
+    reads (``7``, ``0xC0FFEE``); the range keeps distinct seeds distinct
+    Philox keys."""
+    try:
+        value = int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if not 0 <= value <= MASK64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {text!r}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     """``--tolerance``: a finite number of bits, at least 0."""
     value = _finite(text)
@@ -294,7 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
+        p.add_argument(
+            "--seed", type=_seed, default=DEFAULT_SEED, help="integer in [0, 2^64), any base"
+        )
         p.add_argument("--out", help="directory for JSON/CSV reports and the run manifest")
 
     p = sub.add_parser("coherence", help="net-coherence report for a state file")
@@ -354,12 +394,6 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidStateError as exc:
         print(f"invalid input state: {exc}", file=sys.stderr)
         return EXIT_STATE
-    except CapabilityViolationError as exc:
-        print(
-            f"protocol capability violation at transcript index {exc.transcript_index}: {exc}",
-            file=sys.stderr,
-        )
-        return EXIT_CAPABILITY
     except ValueError as exc:
         # Library-level contract violations (unsupported dims, malformed
         # payloads) count as usage failures; the exit-code contract is total.

@@ -1,8 +1,11 @@
-"""Canonical JSON emission: deterministic, 12 significant digits."""
+"""Canonical JSON emission: deterministic, 12 significant digits.
+
+``hashlib`` is imported by ``digest``, its one user, so a report that is
+only printed does not load it.
+"""
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any
 
@@ -23,4 +26,6 @@ def canonical_dumps(obj: Any) -> str:
 
 def digest(obj: Any) -> str:
     """SHA-256 hex digest of the canonical JSON form."""
+    import hashlib
+
     return hashlib.sha256(canonical_dumps(obj).encode("utf-8")).hexdigest()

@@ -5,14 +5,15 @@ for CSV export, and an overall pass flag.  Instance generators draw from
 counter-derived substreams, so results are independent of chunking and of
 the worker count used to parallelize a sweep.  A chunk's substreams come
 from ``rng.draw_substreams``, one rekeyed generator, with the same values as
-one fresh generator per instance.
+one fresh generator per instance.  ``multiprocessing`` is imported only for
+a worker pool and ``ndqc2`` only by the two protocol suites (``se-scaling``,
+``privacy``), so a one-worker sweep of the other suites loads neither.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -43,12 +44,6 @@ from .linalg import (
     random_pure_density,
     tensor,
     tensor_stack,
-)
-from .ndqc2 import (
-    iota_factor,
-    predicted_se,
-    privacy_audit,
-    sample_run_with_record,
 )
 from .rng import draw_substreams, ginibre_stack, haar_unitaries, haar_unitary, substream
 
@@ -171,6 +166,8 @@ def _sweep(
     if workers <= 1 or len(chunks) <= 1:
         parts = [chunk_rows(*chunk) for chunk in chunks]
     else:
+        import multiprocessing
+
         with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
             parts = pool.starmap(chunk_rows, chunks)
     return [row for part in parts for row in part]
@@ -590,6 +587,8 @@ def suite_se_scaling(seed: int) -> SuiteResult:
     a factor of three, with log-log slope -0.5 +/- 0.1, over 1e3, 1e4 and
     1e5 shots and 6 runs per shot count.  This ensemble is fixed: it takes
     no scale, so ``--ensemble-size`` does not change it."""
+    from .ndqc2 import iota_factor, predicted_se, sample_run_with_record
+
     gen = substream(seed, _LANE_SE)
     u_a = haar_unitary(4, gen)
     u_b = haar_unitary(4, gen)
@@ -629,6 +628,8 @@ def suite_privacy(seed: int, scale: float = 1.0) -> SuiteResult:
     """Correlated-input runs leak nothing into single-server marginals; the
     single-sided protocol with a large normalized trace is flagged in each
     of 10 runs.  Every run takes 40 000 shots."""
+    from .ndqc2 import iota_factor, privacy_audit, sample_run_with_record
+
     rows = []
     failures = []
     bound = 4.0 / math.sqrt(_PRIVACY_SHOTS / 4.0)

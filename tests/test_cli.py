@@ -932,3 +932,79 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "netcoh" in proc.stdout
+
+
+class TestOutWriteFailures:
+    """An ``--out`` directory that cannot be made or written exits 2 naming it."""
+
+    def _assert_exit_2(self, argv, out, capsys):
+        assert main([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write reports to --out {out}" in err
+        assert "Traceback" not in err
+
+    def test_out_is_the_input_file(self, control_state_file, capsys):
+        self._assert_exit_2(["coherence", control_state_file], control_state_file, capsys)
+
+    def test_out_below_a_file(self, control_state_file, capsys):
+        out = control_state_file + "/sub"
+        self._assert_exit_2(["coherence", control_state_file], out, capsys)
+
+    def test_verify_out_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        self._assert_exit_2(["verify", "thm4", "--ensemble-size", "0.01"], str(out), capsys)
+
+
+class TestSeedRange:
+    """Seeds are in [0, 2^64): a Philox key word holds no more, so a larger
+    or negative seed would alias an in-range one."""
+
+    @pytest.mark.parametrize("seed", ["-1", "0x10000000000000007", str(2**64)])
+    def test_out_of_range_flag_exits_2(self, control_state_file, capsys, seed):
+        assert main(["classify", control_state_file, "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: must be in [0, 2^64), got {seed!r}" in err
+
+    def test_malformed_flag_names_the_argument(self, control_state_file, capsys):
+        assert main(["coherence", control_state_file, "--seed", "seven"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: expected an integer, got 'seven'" in err
+        assert "lambda" not in err
+
+    def test_range_ends_parse(self, control_state_file, capsys):
+        for seed in ("0", "0xFFFFFFFFFFFFFFFF"):
+            assert main(["classify", control_state_file, "--seed", seed]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("seed, code", [(-1, 2), (2**64, 2), (2**64 - 1, 0)])
+    def test_descriptor_seed_range(self, tmp_path, capsys, seed, code):
+        desc = {
+            "task": 1,
+            "shots": 100,
+            "seed": seed,
+            "unitary_a": matrix_to_json(np.eye(2)),
+            "unitary_b": matrix_to_json(np.eye(2)),
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(desc))
+        assert main(["ndqc2", str(path)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert f"seed must be in [0, 2^64), got {seed}" in captured.err
+        else:
+            assert json.loads(captured.out)["seed"] == seed
+
+
+def test_manifest_duration_ignores_wall_clock_steps(tmp_path, monkeypatch, capsys):
+    # A wall clock stepped back mid-run must not give a negative duration.
+    import time
+
+    steps = iter(range(10**6, 0, -1000))
+    monkeypatch.setattr(time, "time", lambda: float(next(steps)))
+    out = tmp_path / "verify"
+    argv = ["verify", "lemma1", "--ensemble-size", "0.001", "--out", str(out)]
+    assert main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["duration_seconds"] >= 0
+    capsys.readouterr()

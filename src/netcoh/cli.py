@@ -3,15 +3,14 @@
 Commands: ``coherence``, ``classify``, ``ndqc2``, ``verify``.  All randomness
 flows from a single ``--seed`` (default 0xC0FFEE), an integer in [0, 2^64);
 identical command, seed, and inputs reproduce byte-identical JSON reports.
-The only environment variable consulted is NETCOH_WORKERS (verify worker
-processes; default 1, at most the CPU count; anything but an integer >= 1
-exits 2).
+Nothing reads the environment, and ``verify`` runs in one process.
 
 Importing this module loads ``linalg``, ``coherence``, ``rng`` and
 ``reporting``, which parsing and the ``coherence`` command need; ``classify``,
 ``ndqc2`` and ``verify`` are imported by their own command when it runs.
 ``hashlib`` and ``csv`` load only where used (``reporting.digest``, the input
-digests of ``--out``, ``--format csv``).
+digests of ``--out``, ``--format csv``).  With ``--out``, each JSON file a
+command reads is digested from the bytes it was parsed from.
 
 Exit codes: 0 success; 1 verification assertions failed; 2 parse or usage
 failure; 3 input-state invariant violation; 4 protocol capability violation.
@@ -52,30 +51,30 @@ class ParseFailure(Exception):
     pass
 
 
-def _read_json(path: str):
+def _read_json(path: str, digests: dict | None = None):
+    """The JSON value in the UTF-8 file at ``path``.  With a ``digests``
+    dict (``--out``), the SHA-256 of the file's bytes goes in it under
+    ``path``."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        obj = json.loads(data.decode("utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseFailure(f"cannot read JSON from {path}: {exc}") from exc
+    if digests is not None:
+        import hashlib
+
+        digests[path] = hashlib.sha256(data).hexdigest()
+    return obj
 
 
-def _file_digest(path: str) -> str:
-    import hashlib
-
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
-def load_state(path: str) -> DensityMatrix:
+def load_state(path: str, digests: dict | None = None) -> DensityMatrix:
     """State file: matrix JSON with an optional "dims" subsystem signature.
 
     Without "dims", a power-of-two dimension is split into qubits; other
     dimensions become a single subsystem.
     """
-    obj = _read_json(path)
+    obj = _read_json(path, digests)
     mat = matrix_from_json(obj)  # a malformed matrix exits 2 through main
     if "dims" in obj:
         dims = obj["dims"]
@@ -91,10 +90,12 @@ def load_state(path: str) -> DensityMatrix:
     return DensityMatrix(mat, dims)
 
 
-def load_basis(spec: str | None, dims: tuple[int, ...]) -> ProductBasis:
+def load_basis(
+    spec: str | None, dims: tuple[int, ...], digests: dict | None = None
+) -> ProductBasis:
     if spec is None or spec == "computational":
         return ProductBasis.computational(dims)
-    obj = _read_json(spec)
+    obj = _read_json(spec, digests)
     try:
         mats = tuple(matrix_from_json(m) for m in obj["local_bases"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -118,9 +119,9 @@ def parse_cut(spec: str | None, dims: tuple[int, ...]):
     return normalize_cut(dims, cut)
 
 
-def _load_unitary_entry(entry, base_dir: Path):
+def _load_unitary_entry(entry, base_dir: Path, digests: dict | None):
     if isinstance(entry, str):
-        obj = _read_json(str(base_dir / entry) if not os.path.isabs(entry) else entry)
+        obj = _read_json(str(base_dir / entry) if not os.path.isabs(entry) else entry, digests)
     elif isinstance(entry, dict):
         obj = entry
     else:
@@ -133,18 +134,19 @@ def _load_unitary_entry(entry, base_dir: Path):
         raise ParseFailure(str(exc)) from exc
 
 
-def _write_out(args, seed, inputs: tuple[str, ...], started: float, reports: dict) -> None:
+def _write_out(args, seed, started: float, reports: dict) -> None:
     """With ``--out``, write each report text under its file name, plus a
     ``manifest.json`` with the command ``main`` ran, seed, tool version, the
-    SHA-256 of each input file and the run time.  Without ``--out``, do
-    nothing.  A directory that cannot be made or written exits 2."""
+    SHA-256 of each input file read (``args.digests``) and the run time.
+    Without ``--out``, do nothing.  A directory that cannot be made or
+    written exits 2."""
     if not args.out:
         return
     manifest = {
         "command": " ".join(["netcoh", *args.argv]),
         "seed": seed,
         "tool_version": __version__,
-        "inputs": {path: _file_digest(path) for path in inputs},
+        "inputs": args.digests,
         "duration_seconds": round(time.perf_counter() - started, 3),
     }
     out_dir = Path(args.out)
@@ -160,13 +162,13 @@ def _emit(args, name: str, payload, started: float) -> None:
     """Print a state command's report and write it with ``--out``."""
     text = canonical_dumps(payload)
     print(text)
-    _write_out(args, args.seed, (args.state,), started, {f"{name}.json": text + "\n"})
+    _write_out(args, args.seed, started, {f"{name}.json": text + "\n"})
 
 
 def cmd_coherence(args) -> int:
     started = time.perf_counter()
-    rho = load_state(args.state)
-    basis = load_basis(args.basis, rho.dims)
+    rho = load_state(args.state, args.digests)
+    basis = load_basis(args.basis, rho.dims, args.digests)
     cut = parse_cut(args.cut, rho.dims)
     report = net_global_coherence(rho, basis, cut)
     _emit(args, "coherence", report.to_json(), started)
@@ -177,8 +179,8 @@ def cmd_classify(args) -> int:
     from . import classify as classify_mod
 
     started = time.perf_counter()
-    rho = load_state(args.state)
-    basis = load_basis(args.basis, rho.dims)
+    rho = load_state(args.state, args.digests)
+    basis = load_basis(args.basis, rho.dims, args.digests)
     threshold = args.tolerance if args.tolerance is not None else classify_mod.DISCORD_ZERO_THRESHOLD
     verdict = classify_mod.classify(rho, basis, seed=args.seed, threshold=threshold)
     _emit(args, "classify", verdict.to_json(), started)
@@ -189,7 +191,7 @@ def cmd_ndqc2(args) -> int:
     from .ndqc2 import CapabilityViolationError, run_protocol_detailed
 
     started = time.perf_counter()
-    desc = _read_json(args.descriptor)
+    desc = _read_json(args.descriptor, args.digests)
     base_dir = Path(args.descriptor).resolve().parent
     try:
         task = json_int(desc["task"], "task")
@@ -197,8 +199,8 @@ def cmd_ndqc2(args) -> int:
         seed = json_int(desc.get("seed", args.seed), "seed")
         if not 0 <= seed <= MASK64:
             raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-        u_a = _load_unitary_entry(desc["unitary_a"], base_dir)
-        u_b = _load_unitary_entry(desc["unitary_b"], base_dir)
+        u_a = _load_unitary_entry(desc["unitary_a"], base_dir, args.digests)
+        u_b = _load_unitary_entry(desc["unitary_b"], base_dir, args.digests)
         signs = tuple(json_int(s, "signs entry") for s in desc.get("signs", (1, 1)))
         inject = desc.get("inject_violation")
     except (KeyError, TypeError, ValueError) as exc:
@@ -226,19 +228,8 @@ def cmd_ndqc2(args) -> int:
         "report.json": text + "\n",
         "transcript.json": canonical_dumps(transcript.to_json()) + "\n",
     }
-    _write_out(args, seed, (args.descriptor,), started, reports)
+    _write_out(args, seed, started, reports)
     return EXIT_OK
-
-
-def worker_count(raw: str | None) -> int:
-    """NETCOH_WORKERS as a process count: 1 when unset, at most the CPU count."""
-    try:
-        workers = 1 if raw is None else int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ParseFailure(f"NETCOH_WORKERS must be an integer >= 1, got {raw!r}")
-    return min(workers, os.cpu_count() or 1)
 
 
 def _csv_text(rows: list[dict]) -> str:
@@ -258,9 +249,8 @@ def cmd_verify(args) -> int:
     from .verify import run_suite
 
     started = time.perf_counter()
-    workers = worker_count(os.environ.get("NETCOH_WORKERS"))
     try:
-        results = run_suite(args.suite, args.seed, args.ensemble_size, workers)
+        results = run_suite(args.suite, args.seed, args.ensemble_size)
     except KeyError as exc:
         raise ParseFailure(str(exc)) from exc
     for result in results:
@@ -277,7 +267,7 @@ def cmd_verify(args) -> int:
             else:
                 payload = {"passed": result.passed, "failures": result.failures, "rows": result.rows}
                 reports[f"{result.name}.json"] = canonical_dumps(payload) + "\n"
-        _write_out(args, args.seed, (), started, reports)
+        _write_out(args, args.seed, started, reports)
     return EXIT_OK if all(result.passed for result in results) else EXIT_VERIFY_FAILED
 
 
@@ -386,6 +376,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass both through.
         return int(exc.code) if exc.code is not None else EXIT_PARSE
     args.argv = argv
+    args.digests = {} if args.out else None
     try:
         return args.func(args)
     except ParseFailure as exc:

@@ -28,6 +28,7 @@ from .linalg import (
     density_stack,
     hermitian_eig,
     partial_trace_stack,
+    require_integer,
     subsystem_indices,
     tensor,
     tensor_stack,
@@ -57,7 +58,7 @@ class ProductBasis:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(require_integer(d, "subsystem dim", DimensionMismatchError) for d in self.dims)
         mats = []
         if len(self.local_bases) != len(dims):
             raise DimensionMismatchError(

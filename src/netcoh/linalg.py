@@ -54,6 +54,15 @@ def is_unitary(m: np.ndarray) -> bool:
     return bool(unitarity_errors(as_square_matrix(m)) <= ATOL_SPECTRAL)
 
 
+def require_integer(value, name: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` as an ``int`` if it is a Python or numpy integer (booleans
+    excluded), else ``error`` naming ``name``: a dim of 2.5 or True is
+    refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_finite(a: np.ndarray, name: str, error: type[ValueError] = ValueError) -> None:
     """Raise ``error`` naming the first NaN or infinite entry of ``a``."""
     if not np.isfinite(a).all():
@@ -101,7 +110,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = as_square_matrix(self.matrix)
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(require_integer(d, "subsystem dim", DimensionMismatchError) for d in self.dims)
         if any(d < 1 for d in dims):
             raise DimensionMismatchError(f"subsystem dims must be positive, got {dims}")
         # math.prod, exact on Python ints: np.prod wraps around in int64, so
@@ -187,11 +196,8 @@ def subsystem_indices(indices: Iterable[int], n: int, name: str) -> tuple[int, .
     ``range(n)``; anything else raises ``DimensionMismatchError`` naming
     ``name``, so that ``1.2`` is not truncated to subsystem 1.
     """
-    indices = tuple(indices)
-    for i in indices:
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-            raise DimensionMismatchError(f"{name} index {i!r} is not an integer")
-    out = tuple(sorted(set(int(i) for i in indices)))
+    integers = {require_integer(i, f"{name} index", DimensionMismatchError) for i in indices}
+    out = tuple(sorted(integers))
     if any(i < 0 or i >= n for i in out):
         raise DimensionMismatchError(f"{name} indices {list(out)} out of range for {n} subsystems")
     return out
@@ -369,6 +375,7 @@ class GateNetwork:
     gates: tuple[tuple[str, tuple[int, ...]], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        object.__setattr__(self, "qubit_count", require_integer(self.qubit_count, "qubit_count"))
         if self.qubit_count < 1:
             raise ValueError("qubit_count must be positive")
         if self.qubit_count > MAX_GATE_QUBITS:
@@ -378,7 +385,7 @@ class GateNetwork:
         normalized = []
         for entry in self.gates:
             name, targets = entry
-            targets = tuple(int(t) for t in targets)
+            targets = tuple(require_integer(t, "gate target") for t in targets)
             if name in GATE_MATRICES:
                 if len(targets) != 1:
                     raise ValueError(f"gate {name} takes one target, got {targets}")
@@ -480,6 +487,8 @@ def json_int(value, name: str) -> int:
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
         d = json_int(obj["dim"], "dim")
+        if d < 1:
+            raise ValueError(f"dim must be at least 1, got {d}")
         entries = obj["entries"]
         if len(entries) != d * d:
             raise ValueError(f"matrix of dim {d} needs {d * d} entries, got {len(entries)}")

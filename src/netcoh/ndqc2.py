@@ -239,9 +239,10 @@ def control_coherence_figures(task: int, signs: tuple[int, int] = (1, 1)) -> tup
 
     The ancilla factors are maximally mixed and diagonal in any basis, so by
     additivity these equal the full-input figures in the eigenbasis
-    construction; the full-state equality is exercised by the invariance
-    suite.  The figures depend only on (task, signs) and are computed once
-    per pair.
+    construction; ``tests/test_ndqc2.py``'s
+    ``TestControlCoherenceFigures.test_equal_the_full_input_figures`` checks
+    that equality within 1e-9.  The figures depend only on (task, signs)
+    and are computed once per pair.
     """
     return _control_coherence_figures(int(task), tuple(int(s) for s in signs))
 

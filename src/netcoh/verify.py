@@ -1,33 +1,32 @@
 """Named verification suites behind the ``verify`` CLI command.
 
 Each suite sweeps a seeded ensemble, returns one row per sampled instance
-for CSV export, and an overall pass flag.  Instance generators draw from
-counter-derived substreams, so results are independent of chunking and of
-the worker count used to parallelize a sweep.  A chunk's substreams come
-from ``rng.draw_substreams``, one rekeyed generator, with the same values as
-one fresh generator per instance.  ``multiprocessing`` is imported only for
-a worker pool and ``ndqc2`` only by the two protocol suites (``se-scaling``,
-``privacy``), so a one-worker sweep of the other suites loads neither.
+for CSV export, and an overall pass flag.  A sweep runs in one process, cut
+into chunks of at most ``MAX_CHUNK`` instances.  Instance generators draw
+from counter-derived substreams, so results are independent of chunking.
+A chunk's substreams come from ``rng.draw_substreams``, one rekeyed
+generator, with the same values as one fresh generator per instance.
+``ndqc2`` is imported only by the two protocol suites (``se-scaling``,
+``privacy``), so a sweep of the other suites does not load it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import coherence as coh
 from . import incoherent_ops as iops
 from .classify import DISCORD_ZERO_THRESHOLD, NET_COHERENCE_WITNESS_THRESHOLD
 from .coherence import (
     BIPARTITE_CUT,
+    _von_neumann_entropies,
     dephased_mutual_information_stack,
     haar_product_bases,
     minimize_discord_pair,
-    mutual_information,
+    mutual_information_stack,
     net_global_coherence_stack,
     product_basis_normals,
     random_product_basis,
@@ -39,10 +38,8 @@ from .linalg import (
     DensityMatrix,
     density_stack,
     hilbert_schmidt_stack,
-    partial_trace,
+    partial_trace_stack,
     random_density_matrix,
-    random_pure_density,
-    tensor,
     tensor_stack,
 )
 from .rng import draw_substreams, ginibre_stack, haar_unitaries, haar_unitary, substream
@@ -116,73 +113,47 @@ def _families(suite: str, scale: float) -> tuple[tuple[str, int], ...]:
     return tuple((family, max(1, int(round(n * scale)))) for family, n in _ENSEMBLES[suite])
 
 
-def _chunk_plan(count: int, workers: int) -> list[tuple[int, int]]:
+def _chunk_plan(count: int) -> list[tuple[int, int]]:
     """(start, stop) index ranges that cut a family of ``count`` instances
-    into chunks: one chunk with one worker, about four per worker with more,
-    and never more than ``MAX_CHUNK`` instances in a chunk."""
-    size = count if workers <= 1 else math.ceil(count / (4 * workers))
-    size = min(max(size, 1), MAX_CHUNK)
-    return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
-
-
-def _instance_rows(
-    instance: Callable[[int, str, int], dict], seed: int, family: str, start: int, stop: int
-) -> list[dict]:
-    return [instance(seed, family, i) for i in range(start, stop)]
-
-
-def _each(instance: Callable[[int, str, int], dict]) -> Callable[..., list[dict]]:
-    """Chunk rows for a suite whose rows are ``instance(seed, family, i)``."""
-    return functools.partial(_instance_rows, instance)
+    into chunks of ``MAX_CHUNK``, the last one possibly shorter."""
+    return [(lo, min(lo + MAX_CHUNK, count)) for lo in range(0, count, MAX_CHUNK)]
 
 
 def _sweep(
     chunk_rows: Callable[[int, str, int, int], list[dict]],
     seed: int,
     families: Sequence[tuple[str, int]],
-    workers: int,
 ) -> list[dict]:
     """Rows ``chunk_rows(seed, family, start, stop)`` for each (family,
     count) pair, cut by ``_chunk_plan``, in family order and then index
-    order.
-
-    With one worker every family of up to ``MAX_CHUNK`` instances is one
-    chunk; with more, every family is cut into about four chunks per worker
-    and a fork pool runs them.  thm4 and lemma1 compute each chunk as
-    stacked arrays; the other suites run its instances one by one, and thm5
-    and thm6 score each state's 20 or 50 bases as one stack.  Every product
-    basis of the five sweeps is built by ``coherence.haar_product_bases``
-    from one row of standard normals per basis.  Each instance draws from
-    its own substream (thm4, lemma1, the thm6 CC family and the thm5 and
-    thm6 bases through ``rng.draw_substreams``, which rekeys one generator
-    per instance and gives the same values), so the rows do not depend on
-    the chunking or the worker count.
-    """
-    chunks = [
-        (seed, family, lo, hi)
-        for family, count in families
-        for lo, hi in _chunk_plan(count, workers)
-    ]
-    if workers <= 1 or len(chunks) <= 1:
-        parts = [chunk_rows(*chunk) for chunk in chunks]
-    else:
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
-            parts = pool.starmap(chunk_rows, chunks)
-    return [row for part in parts for row in part]
+    order.  thm4, thm5 and lemma1 compute each chunk as stacked arrays; thm6
+    and isomorphism run its instances one by one.  Every product basis is
+    built by ``coherence.haar_product_bases`` from one row of standard
+    normals, and each instance draws from its own substream, so the rows do
+    not depend on the chunking."""
+    chunks = [(family, lo, hi) for family, count in families for lo, hi in _chunk_plan(count)]
+    return [row for chunk in chunks for row in chunk_rows(seed, *chunk)]
 
 
-def _nets_in_random_bases(rho: DensityMatrix, seed: int, lane: int, i: int, count: int) -> tuple:
-    """Net coherence of state ``i`` in ``count`` Haar product bases, basis b
-    from substream (seed, lane, 2, i, b), as I(rho) minus each dephased
-    state's mutual information; and the bases' local stacks."""
-    n = product_basis_normals(rho.dims)
-    lanes = [(lane, 2, i, b) for b in range(count)]
+def _nets_in_random_bases(
+    states: np.ndarray, seed: int, lane: int, index: Sequence[int], count: int
+) -> tuple:
+    """Net coherence of each state of a validated (N, 4, 4) two-qubit stack
+    in ``count`` Haar product bases, basis b of state ``index[n]`` from
+    substream (seed, lane, 2, index[n], b), as I(rho) minus each dephased
+    state's mutual information: an (N, count) array.  All N * count bases
+    are scored as one stack, with each state repeated once per basis.  Also
+    returns the bases' local stacks, each (N, count, 2, 2)."""
+    dims = (2, 2)
+    n = product_basis_normals(dims)
+    lanes = [(lane, 2, i, b) for i in index for b in range(count)]
     normals = draw_substreams(seed, lanes, lambda gen: gen.standard_normal(n))
-    bases = haar_product_bases(normals, rho.dims)
-    dephased = dephased_mutual_information_stack(rho.matrix[None], bases, rho.dims, BIPARTITE_CUT)
-    return mutual_information(rho, BIPARTITE_CUT) - dephased, bases
+    bases = haar_product_bases(normals, dims)
+    repeated = np.repeat(states, count, axis=0)
+    dephased = dephased_mutual_information_stack(repeated, bases, dims, BIPARTITE_CUT)
+    mutual = mutual_information_stack(states, dims, BIPARTITE_CUT)
+    nets = mutual[:, None] - dephased.reshape(len(states), count)
+    return nets, [u.reshape(len(states), count, *u.shape[1:]) for u in bases]
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +212,12 @@ def _thm4_rows(seed: int, kind: str, start: int, stop: int) -> list[dict]:
     ]
 
 
-def suite_thm4(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
+def suite_thm4(seed: int, scale: float = 1.0) -> SuiteResult:
     """Net-coherence positivity and two-route agreement on random ensembles,
     with equality on product states and basis-diagonal CC states.  A state
     below the positivity floor or with routes more than 1e-9 apart is a
     failure of its row."""
-    rows = _sweep(_thm4_rows, seed, _families("thm4", scale), workers)
+    rows = _sweep(_thm4_rows, seed, _families("thm4", scale))
     failures = []
     for row in rows:
         name, net = f"{row['kind']}[{row['index']}]", row["rec_net"]
@@ -263,36 +234,63 @@ def suite_thm4(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
 # Pure states (thm5)
 
 
-def _thm5_row(seed: int, kind: str, i: int) -> dict:
-    gen = substream(seed, _LANE_THM5, 0 if kind == "haar" else 1, i)
+def _pure_projector(gen: np.random.Generator, d: int) -> np.ndarray:
+    """``random_pure_density``'s draws, normalization and outer product for
+    one state vector of dimension ``d``, without its per-state validation
+    (the caller validates a whole stack)."""
+    v = gen.standard_normal(d) + 1j * gen.standard_normal(d)
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def _thm5_rows(seed: int, kind: str, start: int, stop: int) -> list[dict]:
+    """thm5 rows for instances ``start`` to ``stop - 1`` of one family.
+
+    Each instance draws its state from substream (seed, lane, 0, i) for
+    "haar" or (seed, lane, 1, i) for "product", one vector at a time as
+    ``random_pure_density`` does; a product state is two validated qubit
+    projectors joined by ``tensor_stack``.  All that follows runs once on
+    the chunk's stacks: the entanglement entropies, the nets in 20 bases per
+    state (``_nets_in_random_bases``), and basis 0's full figures, which
+    check the nets' shortcut against both routes.  A failed check leaves
+    None for the row's extremes.
+    """
+    index = range(start, stop)
+    lanes = [(_LANE_THM5, 0 if kind == "haar" else 1, i) for i in index]
     if kind == "haar":
-        rho = random_pure_density((2, 2), gen)
+        states = density_stack(
+            np.array(draw_substreams(seed, lanes, lambda gen: _pure_projector(gen, 4)))
+        )
     else:
-        va = random_pure_density((2,), gen)
-        vb = random_pure_density((2,), gen)
-        rho = DensityMatrix(tensor(va.matrix, vb.matrix), (2, 2))
-    entanglement_entropy = coh.von_neumann_entropy(partial_trace(rho, (0,)))
-    nets, bases = _nets_in_random_bases(rho, seed, _LANE_THM5, i, _THM5_BASES)
-    # Basis 0 checks the shortcut against both routes of the full figures;
-    # a failed check leaves None for the extremes.
-    full = net_global_coherence_stack(rho.matrix[None], [u[:1] for u in bases], rho.dims)
-    routes = np.array([nets[0], full.mutual_info[0] - full.mutual_info_dephased[0]])
-    checked = bool(np.all(np.abs(full.rec_net[0] - routes) <= ATOL_SPECTRAL))
-    return {
-        "kind": kind,
-        "index": i,
-        "entanglement_entropy": entanglement_entropy,
-        "rec_net_min": float(nets.min()) if checked else None,
-        "rec_net_max": float(nets.max()) if checked else None,
-    }
+        pairs = draw_substreams(
+            seed, lanes, lambda gen: (_pure_projector(gen, 2), _pure_projector(gen, 2))
+        )
+        factors = [density_stack(np.array(side)) for side in zip(*pairs)]
+        states = density_stack(tensor_stack(*factors))
+    marginals = density_stack(partial_trace_stack(states, (2, 2), (0,)))
+    entropies = _von_neumann_entropies(marginals)
+    nets, bases = _nets_in_random_bases(states, seed, _LANE_THM5, index, _THM5_BASES)
+    full = net_global_coherence_stack(states, [u[:, 0] for u in bases], (2, 2))
+    routes = np.stack([nets[:, 0], full.mutual_info - full.mutual_info_dephased], axis=-1)
+    checked = np.all(np.abs(full.rec_net[:, None] - routes) <= ATOL_SPECTRAL, axis=-1)
+    return [
+        {
+            "kind": kind,
+            "index": i,
+            "entanglement_entropy": entropy,
+            "rec_net_min": float(row.min()) if ok else None,
+            "rec_net_max": float(row.max()) if ok else None,
+        }
+        for i, entropy, row, ok in zip(index, entropies.tolist(), nets, checked.tolist())
+    ]
 
 
-def suite_thm5(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
+def suite_thm5(seed: int, scale: float = 1.0) -> SuiteResult:
     """Pure-state law: entangled iff positive net coherence, product implies
     zero, checked in 20 sampled product bases per state.  A state whose
     routes disagree in basis 0, or whose net coherence is below the
     positivity floor, is a failure of its row."""
-    rows = _sweep(_each(_thm5_row), seed, _families("thm5", scale), workers)
+    rows = _sweep(_thm5_rows, seed, _families("thm5", scale))
     failures = []
     for row in rows:
         name, net_min = f"{row['kind']}[{row['index']}]", row["rec_net_min"]
@@ -344,7 +342,7 @@ def _thm6_discordant_row(seed: int, i: int) -> dict:
         rho = random_density_matrix((2, 2), substream(seed, _LANE_THM6, 1, i, attempt))
         (val_ab, _), (val_ba, _) = minimize_discord_pair(rho)
         if min(val_ab, val_ba) > 0.01:
-            nets, _ = _nets_in_random_bases(rho, seed, _LANE_THM6, i, _THM6_BASES)
+            nets, _ = _nets_in_random_bases(rho.matrix[None], seed, _LANE_THM6, [i], _THM6_BASES)
             rec_net_min = float(nets.min())
             break
     else:
@@ -373,14 +371,14 @@ def _thm6_rows(seed: int, kind: str, start: int, stop: int) -> list[dict]:
     return [_thm6_cc_row(DensityMatrix(m, (2, 2)), i) for m, i in zip(states, range(start, stop))]
 
 
-def suite_thm6(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
+def suite_thm6(seed: int, scale: float = 1.0) -> SuiteResult:
     """Rotated CC states: the discord minimizer recovers a basis with
     vanishing net coherence.  Discordant states: positive net coherence in
     each of 50 sampled product bases.  A CC state whose candidate bases'
     routes disagree, or whose witness is below the positivity floor, is a
     failure of its row, and so is a discordant instance none of whose 51
     draws is discordant."""
-    rows = _sweep(_thm6_rows, seed, _families("thm6", scale), workers)
+    rows = _sweep(_thm6_rows, seed, _families("thm6", scale))
     failures = []
     for row in rows:
         name = f"{row['kind']}[{row['index']}]"
@@ -492,10 +490,10 @@ def _lemma1_rows(seed: int, _family: str, start: int, stop: int) -> list[dict]:
     ]
 
 
-def suite_lemma1(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
+def suite_lemma1(seed: int, scale: float = 1.0) -> SuiteResult:
     """Agreement of the definitional and sparsity strictness tests across
     random channels, plus the canonical pass and fail cases."""
-    rows = _sweep(_lemma1_rows, seed, _families("lemma1", scale), workers)
+    rows = _sweep(_lemma1_rows, seed, _families("lemma1", scale))
     failures = []
     for row in rows:
         if row["strict"] and not row["incoherent"]:
@@ -531,7 +529,7 @@ def suite_lemma1(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult
 # Classical-computation embedding (isomorphism)
 
 
-def _iso_row(seed: int, _family: str, i: int) -> dict:
+def _iso_row(seed: int, i: int) -> dict:
     gen = substream(seed, _LANE_ISO, i)
     d = int(gen.integers(2, 9))
     g = gen.random((d, d))
@@ -562,11 +560,15 @@ def _iso_row(seed: int, _family: str, i: int) -> dict:
     }
 
 
-def suite_isomorphism(seed: int, scale: float = 1.0, workers: int = 1) -> SuiteResult:
+def _iso_rows(seed: int, _family: str, start: int, stop: int) -> list[dict]:
+    return [_iso_row(seed, i) for i in range(start, stop)]
+
+
+def suite_isomorphism(seed: int, scale: float = 1.0) -> SuiteResult:
     """Embedding of stochastic maps round-trips exactly and reproduces the
     classical action on diagonal states.  An embedded channel that is not
     strict incoherent is a failure of its row, with no round trip (None)."""
-    rows = _sweep(_each(_iso_row), seed, _families("isomorphism", scale), workers)
+    rows = _sweep(_iso_rows, seed, _families("isomorphism", scale))
     failures = []
     for row in rows:
         if not row["strict"]:
@@ -673,16 +675,16 @@ def suite_privacy(seed: int, scale: float = 1.0) -> SuiteResult:
 # Dispatch
 
 
-def run_suite(name: str, seed: int, ensemble_scale: float = 1.0, workers: int = 1) -> list[SuiteResult]:
+def run_suite(name: str, seed: int, ensemble_scale: float = 1.0) -> list[SuiteResult]:
     """Run one named suite (or all); ensemble sizes scale linearly, except
     ``se-scaling``'s, which is fixed (3 shot counts x 6 runs) and ignores
     ``ensemble_scale``."""
     dispatch = {
-        "thm4": lambda: suite_thm4(seed, ensemble_scale, workers),
-        "thm5": lambda: suite_thm5(seed, ensemble_scale, workers),
-        "thm6": lambda: suite_thm6(seed, ensemble_scale, workers),
-        "lemma1": lambda: suite_lemma1(seed, ensemble_scale, workers),
-        "isomorphism": lambda: suite_isomorphism(seed, ensemble_scale, workers),
+        "thm4": lambda: suite_thm4(seed, ensemble_scale),
+        "thm5": lambda: suite_thm5(seed, ensemble_scale),
+        "thm6": lambda: suite_thm6(seed, ensemble_scale),
+        "lemma1": lambda: suite_lemma1(seed, ensemble_scale),
+        "isomorphism": lambda: suite_isomorphism(seed, ensemble_scale),
         "se-scaling": lambda: suite_se_scaling(seed),
         "privacy": lambda: suite_privacy(seed, ensemble_scale),
     }

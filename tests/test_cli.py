@@ -8,11 +8,28 @@ import pytest
 
 from helpers import bell_state, cc_state, two_control_mixture, werner
 from netcoh import verify
-from netcoh.cli import main, worker_count
-from netcoh.linalg import MAX_GATE_QUBITS, matrix_to_json, random_density_matrix
+from netcoh.cli import main
+from netcoh.coherence import (
+    BIPARTITE_CUT,
+    dephased_mutual_information_stack,
+    haar_product_bases,
+    mutual_information,
+    net_global_coherence_stack,
+    product_basis_normals,
+    von_neumann_entropy,
+)
+from netcoh.linalg import (
+    MAX_GATE_QUBITS,
+    DensityMatrix,
+    matrix_to_json,
+    partial_trace,
+    random_density_matrix,
+    random_pure_density,
+    tensor,
+)
 from netcoh.ndqc2 import MAX_SHOTS
 from netcoh.reporting import canonical_dumps
-from netcoh.rng import substream
+from netcoh.rng import draw_substreams, substream
 from netcoh.verify import MAX_FAMILY_SIZE, SUITE_NAMES, _families, run_suite
 
 
@@ -83,6 +100,17 @@ class TestCoherenceCommand:
         assert main(["coherence", str(path)]) == 2
         assert "dim must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim, entries", [(-1, 1), (-2, 4), (0, 0)])
+    def test_dim_below_one_exits_2(self, tmp_path, capsys, dim, entries):
+        # (-1)^2 = 1 entry once passed the length check, and numpy's reshape
+        # error was the message.
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dim": dim, "entries": [[1, 0]] * entries}))
+        assert main(["coherence", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"malformed matrix object: dim must be at least 1, got {dim}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "entry", [["a", 0], [1.0], [1.0, 0.0, 0.0], 5, None, [True, 0], [[1], 0]]
     )
@@ -109,6 +137,18 @@ class TestCoherenceCommand:
         assert main(["coherence", path, "--cut", "0|1", "--basis", str(basis_path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["rec_net"] == 1.0
+
+    def test_manifest_digests_the_basis_file(self, tmp_path):
+        path = write_state(tmp_path / "bell.json", bell_state(), (2, 2))
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(json.dumps({"local_bases": [matrix_to_json(np.eye(2))] * 2}))
+        out = tmp_path / "out"
+        assert main(["coherence", path, "--basis", str(basis_path), "--out", str(out)]) == 0
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert inputs == {
+            path: hashlib.sha256((tmp_path / "bell.json").read_bytes()).hexdigest(),
+            str(basis_path): hashlib.sha256(basis_path.read_bytes()).hexdigest(),
+        }
 
     def test_bad_cut_spec(self, tmp_path):
         path = write_state(tmp_path / "bell.json", bell_state(), (2, 2))
@@ -217,6 +257,25 @@ class TestNdqc2Command:
         )
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 42 and descriptor_file in manifest["inputs"]
+
+    def test_manifest_digests_a_unitary_file(self, tmp_path):
+        unitary = tmp_path / "u_a.json"
+        unitary.write_text(json.dumps(matrix_to_json(np.eye(2))))
+        desc = {
+            "task": 2,
+            "shots": 100,
+            "unitary_a": "u_a.json",
+            "unitary_b": {"qubits": 1, "gates": [{"name": "T", "targets": [0]}]},
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(desc))
+        out = tmp_path / "out"
+        assert main(["ndqc2", str(path), "--out", str(out)]) == 0
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert inputs == {
+            str(path): hashlib.sha256(path.read_bytes()).hexdigest(),
+            str(unitary.resolve()): hashlib.sha256(unitary.read_bytes()).hexdigest(),
+        }
 
     def test_seed_reuse_is_byte_identical(self, descriptor_file, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -471,28 +530,6 @@ class TestVerifyCommand:
         manifest = json.loads((tmp_path / "again" / "manifest.json").read_text())
         assert manifest["command"] == "netcoh " + " ".join([*argv[:-1], str(tmp_path / "again")])
 
-    @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5", ""])
-    def test_bad_worker_count_exits_2(self, monkeypatch, capsys, value):
-        # Rejected before the suite runs, so no worker pool is ever started.
-        monkeypatch.setenv("NETCOH_WORKERS", value)
-        assert main(["verify", "thm4", "--ensemble-size", "0.04"]) == 2
-        assert "NETCOH_WORKERS" in capsys.readouterr().err
-
-    def test_worker_count_is_clamped_to_cpus(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
-        assert worker_count(None) == 1
-        assert worker_count("1") == 1
-        assert worker_count("2") == 2
-        assert worker_count("10000") == 2
-
-    def test_worker_count_does_not_change_results(self, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "w1", tmp_path / "w2"
-        monkeypatch.setenv("NETCOH_WORKERS", "1")
-        assert main(["verify", "thm4", "--ensemble-size", "0.04", "--out", str(out1)]) == 0
-        monkeypatch.setenv("NETCOH_WORKERS", "2")
-        assert main(["verify", "thm4", "--ensemble-size", "0.04", "--out", str(out2)]) == 0
-        assert (out1 / "thm4.json").read_bytes() == (out2 / "thm4.json").read_bytes()
-
     def test_thm4_chunking_does_not_change_results(self, tmp_path, monkeypatch):
         # thm4 stacks a whole chunk into one computation; chunks of 1, of 7
         # and of a whole family give the same bytes.
@@ -507,14 +544,13 @@ class TestVerifyCommand:
 
     def test_lemma1_chunking_does_not_change_results(self, monkeypatch):
         # lemma1 stacks a whole chunk of channels into one computation;
-        # chunks of 1, of 7 and of a whole family, and two workers, give the
-        # same rows.
+        # chunks of 1, of 7 and of a whole family give the same rows.
         families = _families("lemma1", 0.04)
         runs = []
-        for limit, workers in ((1, 1), (7, 1), (verify.MAX_CHUNK, 1), (verify.MAX_CHUNK, 2)):
+        for limit in (1, 7, verify.MAX_CHUNK):
             monkeypatch.setattr(verify, "MAX_CHUNK", limit)
-            runs.append(canonical_dumps(verify._sweep(verify._lemma1_rows, 7, families, workers)))
-        assert runs[1:] == runs[:1] * 3
+            runs.append(canonical_dumps(verify._sweep(verify._lemma1_rows, 7, families)))
+        assert runs[1:] == runs[:1] * 2
         assert json.loads(runs[0])[:2] == [
             {"family": "projected", "incoherent": True, "index": 0, "strict": False},
             {"family": "unitary", "incoherent": False, "index": 1, "strict": False},
@@ -523,34 +559,36 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("suite", ["thm5", "thm6"])
     def test_thm5_thm6_chunking_does_not_change_results(self, tmp_path, monkeypatch, suite):
         # Their bases, and thm6's CC states, are drawn a chunk at a time;
-        # chunks of 1, of 7 and of a whole family, and two workers, give
-        # the same bytes.
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        # chunks of 1, of 7 and of a whole family give the same bytes.
         argv = ["verify", suite, "--ensemble-size", "0.05", "--seed", "7", "--format", "json"]
         reports = []
-        plans = ((1, "1"), (7, "1"), (verify.MAX_CHUNK, "1"), (verify.MAX_CHUNK, "2"))
-        for limit, workers in plans:
+        for limit in (1, 7, verify.MAX_CHUNK):
             monkeypatch.setattr(verify, "MAX_CHUNK", limit)
-            monkeypatch.setenv("NETCOH_WORKERS", workers)
-            out = tmp_path / f"{limit}-{workers}"
+            out = tmp_path / str(limit)
             assert main(argv + ["--out", str(out)]) == 0
             reports.append((out / f"{suite}.json").read_bytes())
-        assert reports[1:] == reports[:1] * 3
+        assert reports[1:] == reports[:1] * 2
         assert hashlib.sha256(reports[0]).hexdigest() == GOLDEN_VERIFY_SHA256[suite, "0.05"]
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_chunk_plan_is_bounded(self, workers):
+    @pytest.mark.parametrize("kind", ["haar", "product"])
+    def test_stacked_thm5_rows_match_the_one_state_oracle(self, kind):
+        # Whole and in chunks of 3, row for row the figures of one state at
+        # a time, floats compared exactly.
+        oracle = [_thm5_row_oracle(7, kind, i) for i in range(10)]
+        assert verify._thm5_rows(7, kind, 0, 10) == oracle
+        chunks = [verify._thm5_rows(7, kind, lo, min(lo + 3, 10)) for lo in range(0, 10, 3)]
+        assert [row for chunk in chunks for row in chunk] == oracle
+
+    def test_chunk_plan_is_bounded(self):
         # The plan alone: no instance runs, so 10**6 instances cost nothing.
         for count in (1, 7, 40, MAX_FAMILY_SIZE):
-            plan = verify._chunk_plan(count, workers)
+            plan = verify._chunk_plan(count)
             assert plan[0][0] == 0 and plan[-1][1] == count
             assert all(hi == lo for (_, hi), (lo, _) in zip(plan, plan[1:]))
             assert all(0 < hi - lo <= verify.MAX_CHUNK for lo, hi in plan)
-        assert verify._chunk_plan(40, 1) == [(0, 40)]
-        largest = verify._chunk_plan(MAX_FAMILY_SIZE, workers)
+        assert verify._chunk_plan(40) == [(0, 40)]
+        largest = verify._chunk_plan(MAX_FAMILY_SIZE)
         assert len(largest) == MAX_FAMILY_SIZE // verify.MAX_CHUNK
-        if workers > 1:
-            assert len(verify._chunk_plan(400, workers)) == 4 * workers
 
     def test_thm4_route_violation_is_a_failure_row(self, tmp_path, monkeypatch, capsys):
         # A route gap over 1e-9 once raised out of the report with no
@@ -631,7 +669,7 @@ class TestVerifyCommand:
 
         def below_floor(*args):
             nets, bases = original(*args)
-            nets[1:] -= 1.0  # basis 0 still matches its full figures
+            nets[:, 1:] -= 1.0  # basis 0 still matches its full figures
             return nets, bases
 
         monkeypatch.setattr(verify, "_nets_in_random_bases", below_floor)
@@ -841,8 +879,39 @@ GOLDEN_VERIFY_SHA256 = {
     ("thm4", "0.04"): "cb79e033c622a0595bda3fe29cf3a551b25791f7e77d6ca145d45c54580c1490",
     ("thm5", "0.05"): "6bab39ad9a22d6b666ca50605e007a681656911bb2c520cf60fd8fd4f1b15a3e",
     ("thm5", "0.25"): "c80fa45a9f02507f486de1a35949c40a635ccdb6c98e400c04ac3c30aad14077",
+    ("thm5", "1"): "daf619642557bcc338f563216b5946859f2673c7c1da69337d3d2af9b6c2d43a",
     ("thm6", "0.25"): "4fa066b19274abb1b4c05291ad629889ac6bbb220135132c6adbad6f492f50bc",
 }
+
+
+def _thm5_row_oracle(seed: int, kind: str, i: int) -> dict:
+    """One thm5 row computed one state at a time, with the state's 20 bases
+    scored as one stack: the reference ``verify._thm5_rows`` must match row
+    for row."""
+    gen = substream(seed, verify._LANE_THM5, 0 if kind == "haar" else 1, i)
+    if kind == "haar":
+        rho = random_pure_density((2, 2), gen)
+    else:
+        va = random_pure_density((2,), gen)
+        vb = random_pure_density((2,), gen)
+        rho = DensityMatrix(tensor(va.matrix, vb.matrix), (2, 2))
+    entanglement_entropy = von_neumann_entropy(partial_trace(rho, (0,)))
+    n = product_basis_normals(rho.dims)
+    lanes = [(verify._LANE_THM5, 2, i, b) for b in range(verify._THM5_BASES)]
+    normals = draw_substreams(seed, lanes, lambda g: g.standard_normal(n))
+    bases = haar_product_bases(normals, rho.dims)
+    dephased = dephased_mutual_information_stack(rho.matrix[None], bases, rho.dims, BIPARTITE_CUT)
+    nets = mutual_information(rho, BIPARTITE_CUT) - dephased
+    full = net_global_coherence_stack(rho.matrix[None], [u[:1] for u in bases], rho.dims)
+    routes = np.array([nets[0], full.mutual_info[0] - full.mutual_info_dephased[0]])
+    checked = bool(np.all(np.abs(full.rec_net[0] - routes) <= 1e-9))
+    return {
+        "kind": kind,
+        "index": i,
+        "entanglement_entropy": entanglement_entropy,
+        "rec_net_min": float(nets.min()) if checked else None,
+        "rec_net_max": float(nets.max()) if checked else None,
+    }
 
 
 class TestGoldenBytes:

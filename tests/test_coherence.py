@@ -649,6 +649,13 @@ class TestProductBasis:
         with pytest.raises(DimensionMismatchError):
             ProductBasis((np.eye(2),), (2, 2))
 
+    @pytest.mark.parametrize("dim", [2.7, True, 2.0])
+    def test_rejects_non_integer_dims(self, dim):
+        # 2.7 was once truncated to 2 and accepted with a 2x2 local basis.
+        with pytest.raises(DimensionMismatchError, match="subsystem dim must be an integer"):
+            ProductBasis((np.eye(2),), (dim,))
+        assert ProductBasis((np.eye(2),), (np.int64(2),)).dims == (2,)
+
     def test_rejects_local_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError, match="local basis dim 3 != subsystem dim 2"):
             ProductBasis((np.eye(2), np.eye(3)), (2, 2))

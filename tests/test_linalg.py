@@ -84,6 +84,13 @@ class TestDensityMatrix:
         with pytest.raises(InvalidStateError):
             DensityMatrix(m, (2,))
 
+    @pytest.mark.parametrize("dims", [(2.5,), (True, 2), (2.0, 1), ("2",)])
+    def test_rejects_non_integer_dims(self, dims):
+        # A float dim was once truncated (2.5 -> 2) and True read as 1.
+        with pytest.raises(DimensionMismatchError, match="subsystem dim must be an integer"):
+            DensityMatrix(np.eye(2) / 2, dims)
+        assert DensityMatrix(np.eye(2) / 2, (np.int64(2), np.int32(1))).dims == (2, 1)
+
     def test_tolerates_roundoff_negativity(self):
         m = np.diag([1.0 + 5e-10, -5e-10])
         DensityMatrix(m, (2,))  # within the -1e-9 floor
@@ -378,6 +385,17 @@ class TestPartialTranspose:
 
 
 class TestGateNetwork:
+    @pytest.mark.parametrize(
+        "qubits, gates, name",
+        [(1.5, (), "qubit_count"), (True, (), "qubit_count"), (2, (("H", (0.9,)),), "gate target")],
+    )
+    def test_rejects_non_integer_counts_and_targets(self, qubits, gates, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            GateNetwork(qubits, gates)
+        net = GateNetwork(np.int64(2), (("CNOT", (np.int64(1), 0)),))
+        assert net.qubit_count == 2 and type(net.qubit_count) is int
+        assert net.gates == (("CNOT", (1, 0)),)
+
     def test_empty_network_is_identity(self):
         assert matrices_equal(compile_gate_network(GateNetwork(2)), np.eye(4))
 

